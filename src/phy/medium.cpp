@@ -101,9 +101,8 @@ void Medium::begin_transmission(const Radio& tx, const TxDescriptor& desc, sim::
     if (delivery_probe_) {
       delivery_probe_(DeliveryRecord{tx.id(), rx->id(), rx_dbm, start_at, end_at, false});
     }
-    sim_.at(start_at, [rx, sid, rx_dbm, desc, end_at] {
-      rx->signal_start(sid, rx_dbm, desc, end_at);
-    }, "phy.signal_start");
+    sim_.at(start_at, [rx, sid, rx_dbm, desc] { rx->signal_start(sid, rx_dbm, desc); },
+            "phy.signal_start");
     sim_.at(end_at, [rx, sid] { rx->signal_end(sid); }, "phy.signal_end");
   }
 }
@@ -127,8 +126,7 @@ void Medium::begin_interference(std::uint32_t emitter_id, const Position& pos, d
     if (delivery_probe_) {
       delivery_probe_(DeliveryRecord{emitter_id, rx->id(), rx_dbm, start_at, end_at, true});
     }
-    sim_.at(start_at, [rx, sid, rx_dbm, end_at] { rx->noise_start(sid, rx_dbm, end_at); },
-            "phy.noise_start");
+    sim_.at(start_at, [rx, sid, rx_dbm] { rx->noise_start(sid, rx_dbm); }, "phy.noise_start");
     sim_.at(end_at, [rx, sid] { rx->signal_end(sid); }, "phy.signal_end");
   }
 }

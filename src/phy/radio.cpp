@@ -1,5 +1,6 @@
 #include "phy/radio.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "sim/log.hpp"
@@ -55,7 +56,7 @@ double Radio::energy_consumed_j() const {
 
 double Radio::total_signal_dbm() const {
   double total_mw = 0.0;
-  for (const auto& [sid, sig] : signals_) total_mw += sig.power_mw;
+  for (const ActiveSignal& sig : signals_) total_mw += sig.power_mw;
   return mw_to_dbm(total_mw);  // -inf when no signal is on the air
 }
 
@@ -71,7 +72,7 @@ bool Radio::cca_busy() const {
   // it only enters SINR — so calibrated PCS ranges below the noise floor
   // remain meaningful.
   double total_mw = 0.0;
-  for (const auto& [sid, sig] : signals_) total_mw += sig.power_mw;
+  for (const ActiveSignal& sig : signals_) total_mw += sig.power_mw;
   return total_mw >= dbm_to_mw(params_.cs_threshold_dbm);
 }
 
@@ -88,10 +89,22 @@ void Radio::update_cca() {
 
 double Radio::interference_mw(SignalId excluding) const {
   double total = dbm_to_mw(params_.noise_floor_dbm);
-  for (const auto& [sid, sig] : signals_) {
-    if (sid != excluding) total += sig.power_mw;
+  for (const ActiveSignal& sig : signals_) {
+    if (sig.sid != excluding) total += sig.power_mw;
   }
   return total;
+}
+
+std::vector<Radio::ActiveSignal>::iterator Radio::signal_pos(SignalId sid) {
+  return std::lower_bound(
+      signals_.begin(), signals_.end(), sid,
+      [](const ActiveSignal& sig, SignalId key) { return sig.sid < key; });
+}
+
+void Radio::add_signal(SignalId sid, double power_mw) {
+  const auto it = signal_pos(sid);
+  if (it != signals_.end() && it->sid == sid) return;
+  signals_.insert(it, ActiveSignal{sid, power_mw});
 }
 
 sim::Time Radio::start_tx(const TxDescriptor& desc) {
@@ -126,15 +139,14 @@ sim::Time Radio::start_tx(const TxDescriptor& desc) {
   return duration;
 }
 
-void Radio::signal_start(SignalId sid, double rx_dbm, const TxDescriptor& desc,
-                         sim::Time end_time) {
+void Radio::signal_start(SignalId sid, double rx_dbm, const TxDescriptor& desc) {
   if (!enabled_) {
     // Dead front end: the energy is simply not observed. The medium's
     // already-scheduled signal_end for this sid becomes a no-op erase.
     ++frames_missed_while_off_;
     return;
   }
-  signals_.emplace(sid, ActiveSignal{dbm_to_mw(rx_dbm), desc, end_time});
+  add_signal(sid, dbm_to_mw(rx_dbm));
 
   if (transmitting()) {
     ++frames_missed_while_tx_;
@@ -189,7 +201,7 @@ void Radio::signal_start(SignalId sid, double rx_dbm, const TxDescriptor& desc,
   update_cca();
 }
 
-void Radio::noise_start(SignalId sid, double rx_dbm, sim::Time end_time) {
+void Radio::noise_start(SignalId sid, double rx_dbm) {
   if (!enabled_) {
     ++frames_missed_while_off_;
     return;
@@ -197,7 +209,7 @@ void Radio::noise_start(SignalId sid, double rx_dbm, sim::Time end_time) {
   // Tracked like any signal for energy purposes, but with no descriptor:
   // noise is never a lock candidate, only interference. It can corrupt
   // the frame currently locked and raise carrier sense.
-  signals_.emplace(sid, ActiveSignal{dbm_to_mw(rx_dbm), TxDescriptor{}, end_time});
+  add_signal(sid, dbm_to_mw(rx_dbm));
   ++noise_bursts_heard_;
   update_lock_sinr();
   update_cca();
@@ -263,7 +275,8 @@ void Radio::signal_end(SignalId sid) {
       if (listener_ != nullptr) listener_->on_rx_error();
     }
   }
-  signals_.erase(sid);
+  const auto it = signal_pos(sid);
+  if (it != signals_.end() && it->sid == sid) signals_.erase(it);
   if (!was_locked) update_lock_sinr();
   update_cca();
 }

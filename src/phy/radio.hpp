@@ -31,9 +31,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "obs/trace.hpp"
 #include "phy/medium.hpp"
@@ -121,11 +121,14 @@ class Radio {
   sim::Time start_tx(const TxDescriptor& desc);
 
   // --- Medium-facing interface ---------------------------------------
-  void signal_start(SignalId sid, double rx_dbm, const TxDescriptor& desc, sim::Time end_time);
+  /// An arrival's energy is tracked until its signal_end; a repeated
+  /// start for a sid already tracked adds none.
+  void signal_start(SignalId sid, double rx_dbm, const TxDescriptor& desc);
   /// Undecodable energy burst (interference): counts toward CCA and
   /// SINR, corrupts the current lock if it dips below threshold, but is
   /// never a lock candidate. Ends via signal_end like any signal.
-  void noise_start(SignalId sid, double rx_dbm, sim::Time end_time);
+  void noise_start(SignalId sid, double rx_dbm);
+  /// Stop tracking `sid` (no-op for an untracked one).
   void signal_end(SignalId sid);
 
   // --- Introspection for tests ---------------------------------------
@@ -142,10 +145,12 @@ class Radio {
   [[nodiscard]] Mode mode() const { return mode_; }
 
  private:
+  /// One tracked arrival. The table is kept sorted by sid, so every
+  /// energy sum adds powers in transmission order whatever the arrival
+  /// order.
   struct ActiveSignal {
+    SignalId sid = 0;
     double power_mw = 0.0;
-    TxDescriptor desc;
-    sim::Time end;
   };
   struct Lock {
     SignalId sid = 0;
@@ -158,6 +163,11 @@ class Radio {
   /// Interference power (mW) seen by the locked signal: noise + all other
   /// active signals.
   [[nodiscard]] double interference_mw(SignalId excluding) const;
+
+  /// First tracked signal whose sid is not below `sid`.
+  std::vector<ActiveSignal>::iterator signal_pos(SignalId sid);
+  /// Track an arrival (no-op if `sid` is already tracked).
+  void add_signal(SignalId sid, double power_mw);
 
   /// Re-evaluate the locked frame's SINR after the signal set changed.
   void update_lock_sinr();
@@ -179,7 +189,7 @@ class Radio {
   RadioListener* listener_ = nullptr;
   obs::TraceSink* trace_ = nullptr;
 
-  std::map<SignalId, ActiveSignal> signals_;
+  std::vector<ActiveSignal> signals_;  // sorted by sid
   std::optional<Lock> lock_;
   sim::Time tx_until_ = sim::Time::zero();
   bool last_cca_busy_ = false;

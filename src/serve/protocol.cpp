@@ -50,7 +50,7 @@ experiments::ExperimentConfig SubmitRequest::to_config() const {
   const auto level = obs::obs_level_from_string(obs_level);
   if (!level) {
     throw std::invalid_argument("serve: unknown obs_level '" + obs_level +
-                                "' (off|metrics|trace|full)");
+                                "' (off|metrics|trace|full|journeys)");
   }
   cfg.obs_level = *level;
   if (!fault_plan.empty()) cfg.faults = faults::load_fault_plan(fault_plan);

@@ -35,7 +35,7 @@ struct SubmitRequest {
   std::vector<std::uint64_t> seeds{1, 2, 3};
   double seconds = 8.0;        ///< measurement window
   double warmup_s = 0.5;       ///< warmup before measurement
-  std::string obs_level = "off";  ///< off|metrics|trace|full
+  std::string obs_level = "off";  ///< off|metrics|trace|full|journeys
   std::string fault_plan;      ///< builtin|file|inline spec; empty = none
   std::uint32_t probes = 300;  ///< fig3 probe count
 

@@ -6,6 +6,7 @@
 // and named RNG substreams.
 
 #include <cstdint>
+#include <utility>
 
 #include "sim/rng.hpp"
 #include "sim/scheduler.hpp"
@@ -24,11 +25,13 @@ class Simulator {
   [[nodiscard]] Scheduler& scheduler() { return sched_; }
   [[nodiscard]] const Scheduler& scheduler() const { return sched_; }
 
-  EventId at(Time t, Scheduler::Callback cb, const char* label = nullptr) {
-    return sched_.schedule_at(t, std::move(cb), label);
+  template <class F>
+  EventId at(Time t, F&& fn, const char* label = nullptr) {
+    return sched_.schedule_at(t, std::forward<F>(fn), label);
   }
-  EventId after(Time delay, Scheduler::Callback cb, const char* label = nullptr) {
-    return sched_.schedule_in(delay, std::move(cb), label);
+  template <class F>
+  EventId after(Time delay, F&& fn, const char* label = nullptr) {
+    return sched_.schedule_in(delay, std::forward<F>(fn), label);
   }
   bool cancel(EventId id) { return sched_.cancel(id); }
 

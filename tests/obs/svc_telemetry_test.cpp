@@ -231,7 +231,7 @@ TEST(Logger, TextFormatKeepsLegacyShape) {
   EXPECT_EQ(out.str(), "adhocsim serve: listening on /tmp/x.sock\n");
   Logger disabled{nullptr, LogFormat::kText};
   disabled.info("dropped");  // must not crash
-  EXPECT_THROW(parse_log_format("yaml"), std::invalid_argument);
+  EXPECT_THROW((void)parse_log_format("yaml"), std::invalid_argument);
 }
 
 TEST(ServiceTelemetry, MintsUniqueIdsAndFoldsRequests) {

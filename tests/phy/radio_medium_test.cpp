@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -284,6 +285,75 @@ TEST_F(RadioMediumTest, MediumCountsTransmissions) {
   sim_.run();
   EXPECT_EQ(medium_.transmissions(), 1u);
   EXPECT_EQ(medium_.radio_count(), 2u);
+}
+
+TEST_F(RadioMediumTest, OutOfOrderArrivalsSumInSignalIdOrder) {
+  // Three overlapping transmissions whose sids reach the receiver in
+  // reverse order: the far transmitter starts first, the near one last.
+  RecordingListener* l = nullptr;
+  Radio& rx = add_radio(0, l);
+  Radio& far = add_radio(120, l);
+  Radio& mid = add_radio(-60, l);
+  Radio& near = add_radio(3, l);
+  std::vector<Medium::DeliveryRecord> at_rx;  // in transmission (sid) order
+  medium_.set_delivery_probe([&](const Medium::DeliveryRecord& d) {
+    if (d.rx == rx.id()) at_rx.push_back(d);
+  });
+  sim_.at(sim::Time::ns(0), [&] { far.start_tx(data_frame(Rate::kR11)); });
+  sim_.at(sim::Time::ns(1), [&] { mid.start_tx(data_frame(Rate::kR11)); });
+  sim_.at(sim::Time::ns(2), [&] { near.start_tx(data_frame(Rate::kR11)); });
+  double total_dbm = 0.0;
+  std::size_t active = 0;
+  sim_.at(sim::Time::us(1), [&] {
+    total_dbm = rx.total_signal_dbm();
+    active = rx.active_signals();
+  });
+  sim_.run();
+
+  ASSERT_EQ(at_rx.size(), 3u);
+  EXPECT_EQ(active, 3u);
+  // Arrival order is the reverse of sid order.
+  EXPECT_GT(at_rx[0].start, at_rx[1].start);
+  EXPECT_GT(at_rx[1].start, at_rx[2].start);
+  double sid_order_mw = 0.0;
+  for (const auto& d : at_rx) sid_order_mw += dbm_to_mw(d.rx_dbm);
+  EXPECT_EQ(total_dbm, mw_to_dbm(sid_order_mw));  // bit-equal, not near
+  EXPECT_EQ(rx.active_signals(), 0u);
+}
+
+TEST_F(RadioMediumTest, DuplicateStartAndUnknownEndAreNoOps) {
+  RecordingListener* l = nullptr;
+  Radio& r = add_radio(0, l);
+  r.signal_start(7, -70.0, data_frame(Rate::kR11));
+  r.signal_start(7, -40.0, data_frame(Rate::kR11));  // keeps the first power
+  EXPECT_EQ(r.active_signals(), 1u);
+  EXPECT_EQ(r.total_signal_dbm(), mw_to_dbm(dbm_to_mw(-70.0)));
+  r.noise_start(7, -30.0);
+  EXPECT_EQ(r.active_signals(), 1u);
+  EXPECT_EQ(r.total_signal_dbm(), mw_to_dbm(dbm_to_mw(-70.0)));
+
+  r.signal_end(99);
+  r.signal_end(3);
+  EXPECT_EQ(r.active_signals(), 1u);
+  EXPECT_EQ(r.total_signal_dbm(), mw_to_dbm(dbm_to_mw(-70.0)));
+  r.signal_end(7);
+  EXPECT_EQ(r.active_signals(), 0u);
+  r.signal_end(7);  // a second end is unknown too
+  EXPECT_EQ(r.active_signals(), 0u);
+}
+
+TEST_F(RadioMediumTest, PowerOffClearsTheSignalTable) {
+  RecordingListener* l = nullptr;
+  Radio& r = add_radio(0, l);
+  r.signal_start(1, -60.0, data_frame(Rate::kR11));
+  r.noise_start(2, -65.0);
+  ASSERT_EQ(r.active_signals(), 2u);
+  r.set_enabled(false);
+  EXPECT_EQ(r.active_signals(), 0u);
+  EXPECT_EQ(r.total_signal_dbm(), -std::numeric_limits<double>::infinity());
+  r.signal_end(1);  // the medium's pending ends become no-ops
+  r.set_enabled(true);
+  EXPECT_EQ(r.active_signals(), 0u);
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+
+#include "obs/observer.hpp"
 
 namespace adhoc::serve {
 namespace {
@@ -48,6 +53,36 @@ TEST(SubmitRequest, ToConfigValidates) {
   const auto cfg = req.to_config();
   EXPECT_EQ(cfg.obs_level, obs::ObsLevel::kTrace);
   EXPECT_EQ(cfg.measure.count_ns(), sim::Time::from_sec(1.0).count_ns());
+}
+
+TEST(SubmitRequest, UnknownObsLevelMessageNamesEveryAcceptedLevel) {
+  SubmitRequest req;
+  req.seeds = {1};
+  req.seconds = 1.0;
+  req.obs_level = "bogus";
+  std::string message;
+  try {
+    (void)req.to_config();
+  } catch (const std::invalid_argument& e) {
+    message = e.what();
+  }
+  const auto open = message.rfind('(');
+  const auto close = message.rfind(')');
+  ASSERT_NE(open, std::string::npos) << message;
+  ASSERT_NE(close, std::string::npos) << message;
+  std::set<std::string> listed;
+  std::stringstream names(message.substr(open + 1, close - open - 1));
+  for (std::string name; std::getline(names, name, '|');) listed.insert(name);
+
+  std::set<std::string> accepted;
+  for (int v = static_cast<int>(obs::ObsLevel::kOff);
+       v <= static_cast<int>(obs::ObsLevel::kJourneys); ++v) {
+    const std::string name{obs::obs_level_name(static_cast<obs::ObsLevel>(v))};
+    ASSERT_TRUE(obs::obs_level_from_string(name).has_value()) << name;
+    accepted.insert(name);
+  }
+  EXPECT_EQ(listed, accepted) << message;
+  for (const auto& name : listed) EXPECT_TRUE(obs::obs_level_from_string(name).has_value());
 }
 
 TEST(RecordJson, OkRecordRoundTripsByteExactly) {

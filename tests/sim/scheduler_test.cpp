@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 namespace adhoc::sim {
@@ -131,6 +135,151 @@ TEST(Scheduler, SchedulingInThePastThrows) {
 TEST(Scheduler, EmptyCallbackThrows) {
   Scheduler s;
   EXPECT_THROW(s.schedule_at(Time::us(1), Scheduler::Callback{}), std::invalid_argument);
+  void (*null_fn)() = nullptr;
+  EXPECT_THROW(s.schedule_at(Time::us(1), null_fn), std::invalid_argument);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.total_scheduled(), 0u);
+}
+
+int g_counter = 0;
+void bump_counter() { ++g_counter; }
+
+TEST(Scheduler, AcceptsFunctionsAndFunctionPointers) {
+  Scheduler s;
+  g_counter = 0;
+  s.schedule_at(Time::us(1), bump_counter);
+  s.schedule_at(Time::us(2), &bump_counter);
+  s.run();
+  EXPECT_EQ(g_counter, 2);
+}
+
+TEST(Scheduler, StaleHandleCannotTouchSlotsNextOccupant) {
+  Scheduler s;
+  bool old_fired = false;
+  bool new_fired = false;
+  const EventId old_id = s.schedule_at(Time::us(10), [&] { old_fired = true; });
+  ASSERT_TRUE(s.cancel(old_id));
+  // The freed slot is reused by the next event (ABA).
+  const EventId new_id = s.schedule_at(Time::us(10), [&] { new_fired = true; });
+  EXPECT_NE(old_id, new_id);
+  EXPECT_FALSE(s.is_pending(old_id));
+  EXPECT_FALSE(s.cancel(old_id));
+  EXPECT_TRUE(s.is_pending(new_id));
+  s.run();
+  EXPECT_FALSE(old_fired);
+  EXPECT_TRUE(new_fired);
+
+  // The same holds for a handle whose event already ran.
+  const EventId next_id = s.schedule_at(Time::us(20), [] {});
+  EXPECT_FALSE(s.is_pending(new_id));
+  EXPECT_FALSE(s.cancel(new_id));
+  EXPECT_TRUE(s.is_pending(next_id));
+  EXPECT_EQ(s.total_cancelled(), 1u);
+}
+
+TEST(Scheduler, ForgedHandlesAreNotPending) {
+  Scheduler s;
+  const EventId id = s.schedule_at(Time::us(1), [] {});
+  EXPECT_FALSE(s.is_pending(kInvalidEvent));
+  EXPECT_FALSE(s.cancel(kInvalidEvent));
+  EXPECT_FALSE(s.is_pending(id + 1));             // a free slot
+  EXPECT_FALSE(s.is_pending(id + (1ULL << 32)));  // the next generation
+  EXPECT_FALSE(s.cancel(id + (1ULL << 32)));
+  EXPECT_TRUE(s.is_pending(id));
+}
+
+TEST(Scheduler, SelfCancelWhileRunningIsANoOp) {
+  Scheduler s;
+  auto token = std::make_shared<int>(0);
+  EventId self = kInvalidEvent;
+  bool cancel_result = true;
+  bool pending_inside = true;
+  self = s.schedule_at(Time::us(1), [&, token] {
+    pending_inside = s.is_pending(self);
+    cancel_result = s.cancel(self);
+    EXPECT_EQ(token.use_count(), 2);  // alive while running
+  });
+  s.run();
+  EXPECT_FALSE(pending_inside);
+  EXPECT_FALSE(cancel_result);
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_EQ(s.total_executed(), 1u);
+  EXPECT_EQ(s.total_cancelled(), 0u);
+}
+
+TEST(Scheduler, CapturesAreDestroyedOnceOnRunCancelAndDestruction) {
+  auto token = std::make_shared<int>(0);
+  {
+    Scheduler s;
+    s.schedule_at(Time::us(1), [token] {});
+    const EventId cancelled = s.schedule_at(Time::us(2), [token] {});
+    s.schedule_at(Time::us(3), [token] {});
+    s.schedule_at(Time::us(4), [token] {});
+    EXPECT_EQ(token.use_count(), 5);
+
+    ASSERT_TRUE(s.cancel(cancelled));  // destroyed at cancel time
+    EXPECT_EQ(token.use_count(), 4);
+
+    ASSERT_TRUE(s.step());  // destroyed after running
+    EXPECT_EQ(token.use_count(), 3);
+  }  // two still pending: destroyed by ~Scheduler
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Scheduler, CaptureLargerThanInlineBufferRunsAndIsFreed) {
+  struct Big {
+    std::array<unsigned char, Scheduler::kInlineBytes * 2> bytes{};
+    std::shared_ptr<int> token;
+    int* out;
+    void operator()() const { *out += bytes[0] + *token; }
+  };
+  static_assert(sizeof(Big) > Scheduler::kInlineBytes);
+  auto token = std::make_shared<int>(5);
+  int out = 0;
+  {
+    Scheduler s;
+    Big big{{}, token, &out};
+    big.bytes[0] = 2;
+    s.schedule_at(Time::us(1), big);
+    const EventId cancelled = s.schedule_at(Time::us(2), big);
+    s.schedule_at(Time::us(3), big);
+    EXPECT_EQ(token.use_count(), 5);  // three copies in the queue, plus `big`
+    ASSERT_TRUE(s.cancel(cancelled));
+    EXPECT_EQ(token.use_count(), 4);
+    ASSERT_TRUE(s.step());
+    EXPECT_EQ(out, 7);
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Scheduler, CallbackThatThrowsReleasesItsSlot) {
+  Scheduler s;
+  auto token = std::make_shared<int>(0);
+  const EventId id = s.schedule_at(Time::us(1), [token] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(s.run(), std::runtime_error);
+  EXPECT_FALSE(s.is_pending(id));
+  EXPECT_EQ(token.use_count(), 1);
+  bool fired = false;
+  s.schedule_at(Time::us(2), [&] { fired = true; });
+  s.run();
+  EXPECT_TRUE(fired);
+}
+
+TEST(Scheduler, PoolGrowsAcrossBlocksWithoutMovingRunningEvents) {
+  // A running event schedules enough new ones to grow the pool; its own
+  // captures must stay intact while it runs.
+  Scheduler s;
+  const auto n = static_cast<int>(Scheduler::kBlockSlots * 3);
+  int ran = 0;
+  const std::vector<int> payload(4, 7);
+  s.schedule_at(Time::us(1), [&, payload] {
+    for (int i = 0; i < n; ++i) s.schedule_in(Time::us(1), [&] { ++ran; });
+    EXPECT_EQ(payload, std::vector<int>(4, 7));
+  });
+  s.run();
+  EXPECT_EQ(ran, n);
+  EXPECT_EQ(s.queue_high_water(), static_cast<std::size_t>(n));
 }
 
 TEST(Scheduler, SchedulingAtNowRuns) {
