@@ -8,7 +8,6 @@
 // Each ablation is a campaign (experiments/campaigns.hpp) executed on
 // the parallel engine; the fig7-layout variants share one run function.
 
-#include <cmath>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -16,6 +15,7 @@
 #include "experiments/campaigns.hpp"
 #include "experiments/experiments.hpp"
 #include "phy/calibration.hpp"
+#include "stats/fairness.hpp"
 #include "stats/table.hpp"
 
 using namespace adhoc;
@@ -100,9 +100,9 @@ int main(int argc, char** argv) {
     const auto o = run_points(engine, experiments::ablation_phy_campaign(cfg), card);
     stats::Table t({"PHY calibration", "S1->S2 / S3->S4 (kbps)", "imbalance"});
     t.add_row({"paper Table 3 ranges", fmt_pair(o[0]),
-               stats::Table::fmt(std::abs(o[0].s1 - o[0].s2) / (o[0].s1 + o[0].s2), 2)});
+               stats::Table::fmt(stats::imbalance(o[0].s1, o[0].s2), 2)});
     t.add_row({"ns-2 (250 m / 550 m)", fmt_pair(o[1]),
-               stats::Table::fmt(std::abs(o[1].s1 - o[1].s2) / (o[1].s1 + o[1].s2), 2)});
+               stats::Table::fmt(stats::imbalance(o[1].s1, o[1].s2), 2)});
     std::cout << t.to_string() << '\n';
   }
 

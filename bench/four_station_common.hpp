@@ -4,7 +4,6 @@
 // campaign engine, prints per-session throughputs in the paper's
 // layout, and emits the BENCH_<figure>.json scorecard.
 
-#include <cmath>
 #include <iostream>
 #include <string>
 
@@ -13,6 +12,7 @@
 #include "experiments/campaigns.hpp"
 #include "experiments/experiments.hpp"
 #include "stats/csv.hpp"
+#include "stats/fairness.hpp"
 #include "stats/table.hpp"
 
 namespace adhoc::benchfs {
@@ -63,7 +63,7 @@ inline int run_four_station_bench(int argc, char** argv, const std::string& figu
       const auto& sum2 = p->metrics.at("s2_kbps");
       const double s1 = sum1.mean();
       const double s2 = sum2.mean();
-      const double imb = (s1 + s2) > 0 ? std::abs(s1 - s2) / (s1 + s2) : 0.0;
+      const double imb = stats::imbalance(s1, s2);
       table.add_row({tcp ? "TCP" : "UDP", rts ? "RTS/CTS" : "no RTS/CTS",
                      stats::Table::fmt(s1, 0) + " +-" +
                          stats::Table::fmt(sum1.ci95_halfwidth(), 0),

@@ -16,11 +16,9 @@ void FtpSource::dial() {
   c.set_infinite_source(true);
   c.set_closed_handler([this] {
     connection_ = nullptr;
-    if (reconnect_delay_ > sim::Time::zero()) {
-      sim_.after(reconnect_delay_, [this] {
-        if (connection_ == nullptr) dial();
-      }, "app.ftp");
-    }
+    sim_.after(kReconnectDelay, [this] {
+      if (connection_ == nullptr) dial();
+    }, "app.ftp");
   });
   connection_ = &c;
 }

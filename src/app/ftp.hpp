@@ -16,11 +16,12 @@ class FtpSource {
   FtpSource(const FtpSource&) = delete;
   FtpSource& operator=(const FtpSource&) = delete;
 
-  void start(sim::Time at);
+  /// Like a real ftp client, the source re-dials kReconnectDelay after
+  /// the connection dies (e.g. SYN retries exhausted on a congested
+  /// channel).
+  static constexpr sim::Time kReconnectDelay = sim::Time::ms(500);
 
-  /// Like a real ftp client, the source re-dials if the connection dies
-  /// (e.g. SYN retries exhausted on a congested channel).
-  void set_reconnect_delay(sim::Time d) { reconnect_delay_ = d; }
+  void start(sim::Time at);
 
   [[nodiscard]] bool started() const { return connection_ != nullptr; }
   [[nodiscard]] std::uint32_t connect_attempts() const { return attempts_; }
@@ -37,7 +38,6 @@ class FtpSource {
   net::Ipv4Address dst_;
   std::uint16_t dst_port_;
   transport::TcpConnection* connection_ = nullptr;
-  sim::Time reconnect_delay_ = sim::Time::ms(500);
   std::uint32_t attempts_ = 0;
 };
 

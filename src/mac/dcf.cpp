@@ -9,49 +9,20 @@ namespace adhoc::mac {
 namespace {
 /// Margin added to CTS/ACK timeouts to absorb propagation delays.
 const sim::Time kTimeoutMargin = sim::Time::us(5);
-
-constexpr obs::EventKind to_obs_kind(TraceEvent e) {
-  switch (e) {
-    case TraceEvent::kTxStart: return obs::EventKind::kMacTxStart;
-    case TraceEvent::kRxOk: return obs::EventKind::kMacRxOk;
-    case TraceEvent::kRxError: return obs::EventKind::kMacRxError;
-    case TraceEvent::kAckTimeout: return obs::EventKind::kMacAckTimeout;
-    case TraceEvent::kCtsTimeout: return obs::EventKind::kMacCtsTimeout;
-    case TraceEvent::kDrop: return obs::EventKind::kMacDrop;
-    case TraceEvent::kQueueDrop: return obs::EventKind::kMacQueueDrop;
-  }
-  return obs::EventKind::kMacRxError;
-}
 }  // namespace
 
-void Dcf::obs_emit(TraceEvent event, double seq, double bytes) {
+void Dcf::trace(obs::EventKind kind, const Frame& f) {
   if (obs_sink_ == nullptr) return;
-  obs_sink_->instant(sim_.now(), obs::Layer::kMac, radio_.id(), to_obs_kind(event), seq, bytes);
+  obs_sink_->instant(sim_.now(), obs::Layer::kMac, radio_.id(), kind, static_cast<double>(f.seq),
+                     static_cast<double>(f.sdu_bytes));
 }
 
-void Dcf::trace(TraceEvent event, const Frame& f) {
-  obs_emit(event, static_cast<double>(f.seq), static_cast<double>(f.sdu_bytes));
-  if (tracer_ == nullptr) return;
-  tracer_->record(TraceRecord{sim_.now(), address_, event, f.type, f.src, f.dst, f.seq, f.retry,
-                              f.sdu_bytes});
-}
-
-void Dcf::trace_event(TraceEvent event) {
+void Dcf::trace_queue_head(obs::EventKind kind) {
+  if (obs_sink_ == nullptr) return;
   const bool have_item = !queue_.empty();
-  obs_emit(event, have_item ? static_cast<double>(queue_.front().seq) : 0.0,
-           have_item ? static_cast<double>(queue_.front().bytes) : 0.0);
-  if (tracer_ == nullptr) return;
-  TraceRecord r;
-  r.at = sim_.now();
-  r.station = address_;
-  r.event = event;
-  if (have_item) {
-    r.dst = queue_.front().dst;
-    r.seq = queue_.front().seq;
-    r.bytes = queue_.front().bytes;
-  }
-  r.src = address_;
-  tracer_->record(r);
+  obs_sink_->instant(sim_.now(), obs::Layer::kMac, radio_.id(), kind,
+                     have_item ? static_cast<double>(queue_.front().seq) : 0.0,
+                     have_item ? static_cast<double>(queue_.front().bytes) : 0.0);
 }
 
 Dcf::Dcf(sim::Simulator& simulator, phy::Radio& radio, MacAddress address, MacParams params)
@@ -70,7 +41,7 @@ bool Dcf::enqueue(MacAddress dst, std::shared_ptr<const void> sdu, std::uint32_t
                   std::uint64_t journey) {
   if (queue_.size() >= params_.queue_limit) {
     ++counters_.msdu_queue_drops;
-    trace_event(TraceEvent::kQueueDrop);
+    trace_queue_head(obs::EventKind::kMacQueueDrop);
     return false;  // the caller attributes the tagged journey's drop
   }
   ++counters_.msdu_enqueued;
@@ -202,7 +173,7 @@ void Dcf::transmit_current() {
     rts->duration = nav_for_rts(params_.timing, current_fragment_bytes(item), data_rate,
                                 params_.control_rate, params_.preamble);
     ++counters_.tx_rts;
-    trace(TraceEvent::kTxStart, *rts);
+    trace(obs::EventKind::kMacTxStart, *rts);
     state_ = State::kTxRts;
     radio_.start_tx(
         phy::TxDescriptor{params_.control_rate, rts->psdu_bits(), params_.preamble, rts});
@@ -254,7 +225,7 @@ void Dcf::send_data_frame() {
   }
   ++counters_.tx_data;
   ++item.transmissions;
-  trace(TraceEvent::kTxStart, *data);
+  trace(obs::EventKind::kMacTxStart, *data);
   state_ = State::kTxData;
   const phy::Rate rate = group ? params_.broadcast_rate
                                : (rate_selector_ ? rate_selector_(item.dst)
@@ -286,12 +257,12 @@ void Dcf::start_exchange_timeout(sim::Time timeout) {
 void Dcf::on_exchange_timeout() {
   if (state_ == State::kWaitCts) {
     ++counters_.cts_timeouts;
-    trace_event(TraceEvent::kCtsTimeout);
+    trace_queue_head(obs::EventKind::kMacCtsTimeout);
     ADHOC_LOG(kTrace, sim_.now(), "dcf", address_ << " CTS timeout");
     exchange_failed(/*used_rts=*/true);
   } else if (state_ == State::kWaitAck) {
     ++counters_.ack_timeouts;
-    trace_event(TraceEvent::kAckTimeout);
+    trace_queue_head(obs::EventKind::kMacAckTimeout);
     ADHOC_LOG(kTrace, sim_.now(), "dcf", address_ << " ACK timeout (cw=" << cw_ << ")");
     exchange_failed(params_.use_rts(current_fragment_bytes(queue_.front())));
   }
@@ -308,7 +279,7 @@ void Dcf::exchange_failed(bool used_rts) {
       used_rts ? params_.long_retry_limit : params_.short_retry_limit;
   if (item.retries >= limit) {
     ++counters_.tx_retry_drops;
-    trace_event(TraceEvent::kDrop);
+    trace_queue_head(obs::EventKind::kMacDrop);
     finish_current(/*success=*/false);
     return;
   }
@@ -387,13 +358,8 @@ void Dcf::on_tx_end() {
 
 void Dcf::on_rx_error() {
   ++counters_.rx_errors;
-  obs_emit(TraceEvent::kRxError, 0.0, 0.0);
-  if (tracer_ != nullptr) {
-    TraceRecord r;
-    r.at = sim_.now();
-    r.station = address_;
-    r.event = TraceEvent::kRxError;
-    tracer_->record(r);
+  if (obs_sink_ != nullptr) {
+    obs_sink_->instant(sim_.now(), obs::Layer::kMac, radio_.id(), obs::EventKind::kMacRxError);
   }
   // EIFS: the frame was detected but not understood; a SIFS response to it
   // may follow, which we must not trample (standard 9.2.3.4).
@@ -406,7 +372,7 @@ void Dcf::on_rx_ok(std::shared_ptr<const void> payload, phy::Rate /*rate*/, doub
   // Correct reception resynchronizes us; EIFS no longer applies.
   eifs_pending_ = false;
   const auto frame = std::static_pointer_cast<const Frame>(std::move(payload));
-  trace(TraceEvent::kRxOk, *frame);
+  trace(obs::EventKind::kMacRxOk, *frame);
   ADHOC_LOG(kTrace, sim_.now(), "dcf", address_ << " RX " << *frame);
   switch (frame->type) {
     case FrameType::kData: handle_data(*frame); break;
@@ -602,7 +568,7 @@ void Dcf::schedule_response(Frame response, bool is_ack) {
         } else {
           ++counters_.tx_cts;
         }
-        trace(TraceEvent::kTxStart, *wire);
+        trace(obs::EventKind::kMacTxStart, *wire);
         ADHOC_LOG(kTrace, sim_.now(), "dcf", address_ << " TX " << *wire);
         state_ = State::kResponding;
         radio_.start_tx(

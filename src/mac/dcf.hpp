@@ -26,7 +26,6 @@
 #include "mac/counters.hpp"
 #include "mac/frame.hpp"
 #include "mac/mac_params.hpp"
-#include "mac/trace.hpp"
 #include "obs/journey/journey.hpp"
 #include "obs/trace.hpp"
 #include "phy/radio.hpp"
@@ -67,12 +66,8 @@ class Dcf final : public phy::RadioListener {
   void set_tx_status_handler(TxStatusHandler h) { tx_status_handler_ = std::move(h); }
   void set_attempt_handler(AttemptHandler h) { attempt_handler_ = std::move(h); }
 
-  /// Attach a frame tracer (shared across stations; nullptr disables).
-  void set_tracer(FrameTracer* tracer) { tracer_ = tracer; }
-  [[nodiscard]] FrameTracer* tracer() const { return tracer_; }
-
-  /// Mirror MAC events into a cross-layer trace sink (nullptr disables;
-  /// the radio id is the track). Independent of the CSV FrameTracer.
+  /// Publish MAC events into a cross-layer trace sink (nullptr disables;
+  /// the radio id is the track).
   void set_trace_sink(obs::TraceSink* sink) { obs_sink_ = sink; }
 
   /// Feed journey-tagged MSDU milestones (queueing, contention,
@@ -208,15 +203,15 @@ class Dcf final : public phy::RadioListener {
   TxStatusHandler tx_status_handler_;
   AttemptHandler attempt_handler_;
   MacCounters counters_;
-  FrameTracer* tracer_ = nullptr;
   obs::TraceSink* obs_sink_ = nullptr;
   obs::JourneyRecorder* journeys_ = nullptr;
   PeerLookup journey_peer_;
   RateSelector rate_selector_;
 
-  void trace(TraceEvent event, const Frame& f);
-  void trace_event(TraceEvent event);
-  void obs_emit(TraceEvent event, double seq, double bytes);
+  /// Trace `kind` against frame `f` (seq, MSDU bytes).
+  void trace(obs::EventKind kind, const Frame& f);
+  /// Trace `kind` against the queue head (zeros when the queue is empty).
+  void trace_queue_head(obs::EventKind kind);
   /// Journey id of the queue head (0 when untracked or queue empty).
   [[nodiscard]] std::uint64_t head_journey() const {
     return (journeys_ != nullptr && !queue_.empty()) ? queue_.front().journey : 0;

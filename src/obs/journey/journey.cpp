@@ -299,8 +299,7 @@ void JourneyRecorder::fold_into(MetricsRegistry& registry) const {
   registry.set_gauge("journey", "capacity", static_cast<double>(capacity_));
   registry.set_gauge("journey", "sample_every", static_cast<double>(sample_every_));
   // Ring overwrites, named so service-level aggregation can pick the
-  // flattened "journey.journey_dropped" key out of run metrics the same
-  // way it does "frame_trace_dropped".
+  // flattened "journey.journey_dropped" key out of run metrics.
   registry.set_gauge("journey", "journey_dropped", static_cast<double>(dropped()));
 }
 

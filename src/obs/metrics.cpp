@@ -215,29 +215,11 @@ std::string MetricsRegistry::prometheus_text(const std::string& prefix) const {
   return out;
 }
 
-void MetricsRegistry::snapshot_periodic(sim::Time now) {
-  periodic_.push_back({now, flatten()});
-}
-
 void MetricsRegistry::write_json(const std::string& path, sim::Time now) const {
   std::ofstream out{path, std::ios::trunc};
   if (!out) throw std::runtime_error("MetricsRegistry: cannot open " + path);
   out << "{\"time_us\":" << json_number(now.to_us()) << ",\"metrics\":" << snapshot_json()
-      << ",\"periodic\":[";
-  bool first = true;
-  for (const auto& snap : periodic_) {
-    if (!first) out << ',';
-    first = false;
-    out << "\n{\"time_us\":" << json_number(snap.at.to_us()) << ",\"metrics\":{";
-    bool first_metric = true;
-    for (const auto& [name, value] : snap.metrics) {
-      if (!first_metric) out << ',';
-      first_metric = false;
-      out << '"' << json_escape(name) << "\":" << json_number(value);
-    }
-    out << "}}";
-  }
-  out << "]}\n";
+      << "}\n";
   if (!out) throw std::runtime_error("MetricsRegistry: write failed for " + path);
 }
 

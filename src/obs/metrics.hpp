@@ -1,8 +1,7 @@
 #pragma once
 // Metrics registry: named counters / gauges / probes / distributions,
 // registered per component ("mac.sta1", "phy.sta0", "tcp.sta2",
-// "scheduler"), snapshotted to JSON at end-of-run and periodically
-// during a run.
+// "scheduler"), snapshotted to JSON at end of run.
 //
 // Metric kinds:
 //  * Counter      — owned monotonically increasing u64 (hot-path inc).
@@ -23,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "sim/time.hpp"
 #include "stats/percentile.hpp"
@@ -104,12 +102,7 @@ class MetricsRegistry {
   /// byte-stable for equal metric values, like snapshot_json().
   [[nodiscard]] std::string prometheus_text(const std::string& prefix = "adhocsim") const;
 
-  /// Take a periodic snapshot (flattened) tagged with the sim clock.
-  void snapshot_periodic(sim::Time now);
-  [[nodiscard]] std::size_t periodic_count() const { return periodic_.size(); }
-
-  /// Write the full metrics document:
-  ///   {"time_us":T,"metrics":{...},"periodic":[{"time_us":t,"metrics":{...}},...]}
+  /// Write the full metrics document: {"time_us":T,"metrics":{...}}
   /// Throws std::runtime_error on I/O failure.
   void write_json(const std::string& path, sim::Time now) const;
 
@@ -127,18 +120,12 @@ class MetricsRegistry {
   void flatten_metric(const std::string& key, const Metric& m,
                       std::map<std::string, double>& out) const;
 
-  struct PeriodicSnapshot {
-    sim::Time at;
-    std::map<std::string, double> metrics;
-  };
-
   // node-based maps: references into the structure survive inserts.
   // Deliberately std::map, not unordered: snapshot_json/flatten iterate
   // these into artifacts that must be byte-stable across insertion
   // order and libstdc++ versions (enforced by the lint unordered-iter
   // rule and MetricsRegistry.SnapshotJsonIsByteStable* tests).
   std::map<std::string, std::map<std::string, std::unique_ptr<Metric>>> components_;
-  std::vector<PeriodicSnapshot> periodic_;
 };
 
 }  // namespace adhoc::obs

@@ -33,22 +33,6 @@ RunObserver::RunObserver(ObsLevel level, std::size_t trace_capacity) : level_(le
   }
 }
 
-void RunObserver::enable_periodic_snapshots(sim::Simulator& sim, sim::Time interval) {
-  if (!registry_ || interval <= sim::Time::zero()) return;
-  // Self-rescheduling tick; dies with the simulation (remaining event is
-  // simply never executed once the run horizon passes).
-  struct Tick {
-    MetricsRegistry* reg;
-    sim::Simulator* sim;
-    sim::Time interval;
-    void operator()() const {
-      reg->snapshot_periodic(sim->now());
-      sim->after(interval, Tick{*this}, "obs.snapshot");
-    }
-  };
-  sim.after(interval, Tick{registry_.get(), &sim, interval}, "obs.snapshot");
-}
-
 void RunObserver::finalize(const sim::Simulator& sim) {
   finalized_at_ = sim.now();
   // Close in-flight journeys while the simulation (and the attribution

@@ -51,10 +51,6 @@ class RunObserver {
   [[nodiscard]] SchedulerProfiler* profiler() { return profiler_.get(); }
   [[nodiscard]] JourneyRecorder* journeys() { return journeys_.get(); }
 
-  /// Schedule periodic registry snapshots every `interval` while the run
-  /// executes (self-rescheduling; stops when the sim stops executing).
-  void enable_periodic_snapshots(sim::Simulator& sim, sim::Time interval);
-
   /// Fold end-of-run data into the registry: the scheduler profile and
   /// the trace-sink health ("trace": recorded/retained/dropped/capacity,
   /// so silently-truncated traces are visible in every export). Also

@@ -9,7 +9,7 @@
 // part a hidden-terminal episode lives in — survives intact.
 //
 // Export targets:
-//  * CSV, for offline analysis next to mac::FrameTracer's frame CSVs;
+//  * CSV, for offline analysis;
 //  * Chrome trace-event JSON (chrome://tracing / Perfetto): one process
 //    per station, one thread-track per layer, instant + duration events,
 //    plus counter tracks for sampled values such as TCP cwnd.

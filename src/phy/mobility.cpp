@@ -1,7 +1,6 @@
 #include "phy/mobility.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numbers>
 #include <stdexcept>
 
@@ -56,24 +55,6 @@ Position RandomWaypointMobility::position_at(sim::Time t) const {
     }
   }
   return legs_.front().from;
-}
-
-WaypointMobility::WaypointMobility(std::vector<Waypoint> waypoints)
-    : waypoints_(std::move(waypoints)) {
-  if (waypoints_.empty()) throw std::invalid_argument("WaypointMobility: empty path");
-  for (std::size_t i = 1; i < waypoints_.size(); ++i) {
-    if (waypoints_[i].at < waypoints_[i - 1].at) {
-      throw std::invalid_argument("WaypointMobility: waypoints not sorted by time");
-    }
-    const double span_s = (waypoints_[i].at - waypoints_[i - 1].at).to_sec();
-    const double d = distance(waypoints_[i - 1].pos, waypoints_[i].pos);
-    if (span_s > 0.0) {
-      max_speed_mps_ = std::max(max_speed_mps_, d / span_s);
-    } else if (d > 0.0) {
-      // Coincident-time waypoints teleport: no finite speed bound.
-      max_speed_mps_ = std::numeric_limits<double>::infinity();
-    }
-  }
 }
 
 GaussMarkovMobility::GaussMarkovMobility(Position start, Params params, sim::Rng rng)
@@ -162,23 +143,6 @@ Position GaussMarkovMobility::position_at(sim::Time t) const {
     }
   }
   return steps_.front().pos;
-}
-
-Position WaypointMobility::position_at(sim::Time t) const {
-  if (t <= waypoints_.front().at) return waypoints_.front().pos;
-  if (t >= waypoints_.back().at) return waypoints_.back().pos;
-  // Find the segment containing t.
-  for (std::size_t i = 1; i < waypoints_.size(); ++i) {
-    const auto& a = waypoints_[i - 1];
-    const auto& b = waypoints_[i];
-    if (t <= b.at) {
-      const double span = (b.at - a.at).to_sec();
-      if (span <= 0.0) return b.pos;
-      const double f = (t - a.at).to_sec() / span;
-      return Position{a.pos.x + (b.pos.x - a.pos.x) * f, a.pos.y + (b.pos.y - a.pos.y) * f};
-    }
-  }
-  return waypoints_.back().pos;
 }
 
 }  // namespace adhoc::phy

@@ -92,30 +92,6 @@ class RandomWaypointMobility final : public MobilityModel {
   mutable std::vector<Leg> legs_;
 };
 
-/// Piecewise-linear waypoint path: the station glides between waypoints
-/// and parks at the last one.
-class WaypointMobility final : public MobilityModel {
- public:
-  struct Waypoint {
-    sim::Time at;
-    Position pos;
-  };
-
-  /// Waypoints must be sorted by time and non-empty.
-  explicit WaypointMobility(std::vector<Waypoint> waypoints);
-
-  Position position_at(sim::Time t) const override;
-
-  [[nodiscard]] std::size_t waypoint_count() const { return waypoints_.size(); }
-
-  /// Fastest glide over any segment (0 for a single parked waypoint).
-  [[nodiscard]] double max_speed_mps() const override { return max_speed_mps_; }
-
- private:
-  std::vector<Waypoint> waypoints_;
-  double max_speed_mps_ = 0.0;
-};
-
 /// Gauss-Markov mobility (Camp/Boleng/Davies survey, §2.5): speed and
 /// direction are Ornstein-Uhlenbeck processes updated on a fixed tick,
 ///

@@ -8,7 +8,6 @@
 #include "campaign/aggregate.hpp"
 #include "campaign/result.hpp"
 #include "obs/json.hpp"
-#include "obs/profile.hpp"
 
 namespace adhoc::report {
 
@@ -40,14 +39,6 @@ void Scorecard::set_counter(const std::string& name, std::uint64_t value) {
 }
 
 void Scorecard::set_perf(const std::string& name, double value) { perf_[name] = value; }
-
-void Scorecard::merge_profile(const obs::SchedulerProfiler& profiler) {
-  counters_["events"] += profiler.events();
-  counters_["queue_high_water"] =
-      std::max(counters_["queue_high_water"], static_cast<std::uint64_t>(profiler.queue_high_water()));
-  perf_["wall_ms"] += profiler.wall_seconds() * 1e3;
-  if (profiler.wall_seconds() > 0.0) set_perf("events_per_sec", profiler.events_per_sec());
-}
 
 void Scorecard::add_campaign(const campaign::CampaignResult& result) {
   counters_["events"] += result.events_total();

@@ -29,9 +29,6 @@
 #include <string>
 #include <vector>
 
-namespace adhoc::obs {
-class SchedulerProfiler;
-}
 namespace adhoc::campaign {
 struct CampaignResult;
 struct PointAggregate;
@@ -77,10 +74,6 @@ class Scorecard {
   /// Wall-clock perf number (wall_ms, events_per_sec, jobs...). Lives in
   /// the perf sidecar only, never in the byte-stable fidelity file.
   void set_perf(const std::string& name, double value);
-
-  /// Fold a scheduler profile in: events + queue high-water become
-  /// counters, wall_ms + events_per_sec become perf numbers.
-  void merge_profile(const obs::SchedulerProfiler& profiler);
 
   /// Fold a campaign result in: total simulation events and ok/failed
   /// run counts become counters; wall_ms, events_per_sec and the worker

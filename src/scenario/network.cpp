@@ -177,13 +177,6 @@ void Network::wire_node_observer(std::size_t i) {
     reg->add_probe("mac." + suffix, f.name,
                    [dcf, field = f.field] { return static_cast<double>(dcf->counters().*field); });
   }
-  // Observability-loss accounting: frames the CSV FrameTracer's ring
-  // dropped (0 when no tracer is attached). Surfaces in run obs
-  // snapshots and, summed per submit, in the daemon's serve counters.
-  reg->add_probe("mac." + suffix, "frame_trace_dropped", [dcf] {
-    const mac::FrameTracer* tracer = dcf->tracer();
-    return tracer == nullptr ? 0.0 : static_cast<double>(tracer->dropped());
-  });
   const phy::Radio* radio = &n.radio();
   for (const auto& f : kPhyFields) {
     reg->add_probe("phy." + suffix, f.name,

@@ -286,10 +286,7 @@ bool Server::handle_line(int fd, const std::string& line, RequestTrace* trace) {
     out += '}';
     if (cfg_.telemetry != nullptr) {
       const auto& metrics = cfg_.telemetry->metrics;
-      out += R"(,"serve":{"frame_trace_dropped":)" +
-             std::to_string(static_cast<std::uint64_t>(
-                 metrics.value("serve", "frame_trace_dropped_total"))) +
-             R"(,"journey_dropped":)" +
+      out += R"(,"serve":{"journey_dropped":)" +
              std::to_string(
                  static_cast<std::uint64_t>(metrics.value("serve", "journey_dropped_total"))) +
              R"(,"trace_dropped":)" +

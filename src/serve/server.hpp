@@ -31,13 +31,11 @@
 //      "request":"r-1","type":"submit_end","wall_ms":W}
 //   stats    -> {"cache":{"bytes":...,"entries":...,"evictions":...,
 //                "hits":...,"invalidated":...,"misses":...,"stores":...},
-//                "serve":{"frame_trace_dropped":F,"journey_dropped":J,
-//                "trace_dropped":T},
+//                "serve":{"journey_dropped":J,"trace_dropped":T},
 //                "type":"stats","version":"V"}
 //                ("serve" section present when telemetry is wired:
 //                cumulative observability-loss counters — TraceSink ring
-//                drops, per-node FrameTracer drops, and journey-record
-//                ring overwrites)
+//                drops and journey-record ring overwrites)
 //   metrics  -> {"format":"json","metrics":{...},"request":"r-2",
 //                "type":"metrics"}  "metrics" embeds the raw
 //                                   ServiceMetrics::snapshot_json object

@@ -1,7 +1,6 @@
 #include "serve/service.hpp"
 
 #include <cstdint>
-#include <string_view>
 #include <utility>
 
 #include "cache/code_version.hpp"
@@ -186,33 +185,19 @@ SubmitOutcome CampaignService::submit(const SubmitRequest& req,
       cfg_.metrics->inc("serve", "runs_served_total", out.cache_misses, {{"source", "engine"}});
     }
     // Observability-loss counters: TraceSink ring drops recorded per
-    // run, per-node FrameTracer drops surfaced through the obs snapshot
-    // (keys "mac.<sta>.frame_trace_dropped"), and journey-record ring
-    // overwrites ("journey.journey_dropped").
+    // run, and journey-record ring overwrites (the flattened obs key
+    // "journey.journey_dropped").
     std::uint64_t trace_dropped = 0;
-    std::uint64_t frame_trace_dropped = 0;
     std::uint64_t journey_dropped = 0;
-    constexpr std::string_view kFrameDropKey = "frame_trace_dropped";
-    constexpr std::string_view kJourneyDropKey = "journey.journey_dropped";
-    const auto has_suffix = [](const std::string& key, std::string_view suffix) {
-      return key.size() >= suffix.size() &&
-             key.compare(key.size() - suffix.size(), suffix.size(), suffix) == 0;
-    };
     for (const auto& record : out.result.runs) {
       trace_dropped += record.metrics.trace_dropped;
-      for (const auto& [key, value] : record.metrics.obs) {
-        if (has_suffix(key, kFrameDropKey)) {
-          frame_trace_dropped += static_cast<std::uint64_t>(value);
-        } else if (has_suffix(key, kJourneyDropKey)) {
-          journey_dropped += static_cast<std::uint64_t>(value);
-        }
+      if (const auto it = record.metrics.obs.find("journey.journey_dropped");
+          it != record.metrics.obs.end()) {
+        journey_dropped += static_cast<std::uint64_t>(it->second);
       }
     }
     if (trace_dropped > 0) {
       cfg_.metrics->inc("serve", "trace_dropped_total", trace_dropped);
-    }
-    if (frame_trace_dropped > 0) {
-      cfg_.metrics->inc("serve", "frame_trace_dropped_total", frame_trace_dropped);
     }
     if (journey_dropped > 0) {
       cfg_.metrics->inc("serve", "journey_dropped_total", journey_dropped);

@@ -75,7 +75,6 @@ class CampaignService {
     if (cfg_.metrics != nullptr) {
       cfg_.metrics->set_gauge("serve", "queue_depth", 0.0);
       cfg_.metrics->inc("serve", "trace_dropped_total", 0);
-      cfg_.metrics->inc("serve", "frame_trace_dropped_total", 0);
       cfg_.metrics->inc("serve", "journey_dropped_total", 0);
     }
   }

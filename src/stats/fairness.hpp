@@ -1,25 +1,9 @@
 #pragma once
-// Fairness metrics for multi-session experiments.
+// Fairness metric for two-session experiments.
 
 #include <cmath>
-#include <span>
 
 namespace adhoc::stats {
-
-/// Jain's fairness index: (sum x)^2 / (n * sum x^2), in (0, 1].
-/// 1.0 = perfectly fair; 1/n = one session takes everything.
-[[nodiscard]] inline double jain_index(std::span<const double> x) {
-  if (x.empty()) return 1.0;
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  for (const double v : x) {
-    sum += v;
-    sum_sq += v * v;
-  }
-  // sum_sq is a sum of squares, so <= 0 means every sample was zero.
-  if (sum_sq <= 0.0) return 1.0;
-  return sum * sum / (static_cast<double>(x.size()) * sum_sq);
-}
 
 /// Normalized throughput imbalance of two sessions: |a-b| / (a+b), in
 /// [0, 1]. 0 = balanced, 1 = total starvation of one side.

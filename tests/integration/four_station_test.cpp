@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "experiments/experiments.hpp"
+#include "stats/fairness.hpp"
 
 namespace adhoc::experiments {
 namespace {
@@ -23,9 +24,7 @@ double total(const FourStationResult& r) {
 }
 
 double imbalance(const FourStationResult& r) {
-  const double t = total(r);
-  if (t <= 0) return 0.0;
-  return std::abs(r.session1_kbps.mean - r.session2_kbps.mean) / t;
+  return stats::imbalance(r.session1_kbps.mean, r.session2_kbps.mean);
 }
 
 TEST(FourStation, CouplingExistsBeyondTransmissionRange) {

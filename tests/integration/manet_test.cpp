@@ -1,17 +1,15 @@
 // Full MANET integration: the scenario the paper's introduction
-// motivates, end to end — a random field of stations with random-waypoint
-// mobility, HELLO-based neighbor awareness, AODV route discovery and
-// repair, and application traffic riding on top. The paper's finding
-// that real ranges are far shorter than simulator defaults is exactly
-// what makes this hard: routes are many hops and break often.
+// motivates, end to end — a field of stations with random-waypoint
+// mobility, AODV route discovery and repair, and application traffic
+// riding on top. The paper's finding that real ranges are far shorter
+// than simulator defaults is exactly what makes this hard: routes are
+// many hops and break often.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "app/hello.hpp"
-#include "phy/mobility.hpp"
-#include "scenario/topology.hpp"
+#include "scenario/manet.hpp"
+#include "scenario/network.hpp"
+#include "sim/simulator.hpp"
 
 namespace adhoc {
 namespace {
@@ -20,81 +18,36 @@ TEST(Manet, MobileNetworkKeepsDeliveringThroughRouteChurn) {
   sim::Simulator sim{77};
   scenario::Network net{sim};
 
-  // A deployment the paper's introduction sketches: a static mesh
-  // backbone (3x3 grid, 30 m spacing — every link at the edge of the
-  // 11 Mbps range) plus mobile pedestrians wandering through it, and a
-  // static source/sink pair at opposite ends. The 85 m diagonal needs
-  // 3-4 hops.
-  const auto backbone = scenario::build_grid(net, 3, 30.0);
-  const std::size_t src = net.add_node({-3.0, -3.0}).id();
-  const std::size_t dst = net.add_node({63.0, 63.0}).id();
-
-  constexpr std::size_t kWalkers = 8;
-  phy::RandomWaypointMobility::Params walk;
-  walk.width_m = 60.0;
-  walk.height_m = 60.0;
-  walk.min_speed_mps = 0.5;
-  walk.max_speed_mps = 1.5;
-  std::vector<std::unique_ptr<phy::RandomWaypointMobility>> walkers;
-  std::vector<std::size_t> ids = backbone;
-  ids.push_back(src);
-  ids.push_back(dst);
-  for (std::size_t i = 0; i < kWalkers; ++i) {
-    const auto id = net.add_node({30.0, 30.0}).id();
-    walkers.push_back(std::make_unique<phy::RandomWaypointMobility>(
-        phy::Position{30.0, 30.0}, walk,
-        sim.rng_stream("walk").substream(static_cast<std::uint64_t>(i))));
-    net.node(id).radio().set_mobility(walkers.back().get());
-    ids.push_back(id);
-  }
-  const std::size_t kN = ids.size();
-
-  // Neighbor awareness + on-demand routing on every station. A short
+  // Pedestrians wandering a 100 m field at the default 11 Mbps, whose
+  // ~30 m range puts the far corners 4-5 hops apart. Two flows each send
+  // a 256 B datagram every 250 ms for 60 simulated seconds. A short
   // route lifetime bounds black-hole windows after missed RERRs.
-  net::AodvParams ap;
-  ap.active_route_lifetime = sim::Time::sec(3);
-  auto aodv = scenario::attach_aodv(net, ap);
-  std::vector<std::unique_ptr<app::HelloService>> hello;
-  for (std::size_t i = 0; i < kN; ++i) {
-    hello.push_back(std::make_unique<app::HelloService>(sim, net.udp(ids[i])));
-    hello.back()->start(sim::Time::ms(static_cast<std::int64_t>(10 * (i + 1))));
-  }
-
-  // Source sends a datagram every 250 ms for 60 simulated seconds.
-  std::uint64_t delivered = 0;
-  net.udp(dst).open(9000).set_rx_handler(
-      [&](std::uint32_t, std::uint64_t, net::Ipv4Address, std::uint16_t) { ++delivered; });
-  const auto dst_ip = net.node(dst).ip();
-  std::uint64_t sent = 0;
-  for (int tick = 0; tick < 240; ++tick) {
-    sim.at(sim::Time::ms(500 + 250 * tick), [&, tick] {
-      auto packet = net::Packet::make(256);
-      packet->push(net::UdpHeader{9000, 9000, 264});
-      packet->app_seq = static_cast<std::uint64_t>(tick);
-      aodv[src]->send(std::move(packet), dst_ip, net::kProtoUdp);
-      ++sent;
-    });
-  }
+  scenario::ManetSpec spec;
+  spec.stations = 24;
+  spec.placement = scenario::ManetPlacement::kUniform;
+  spec.mobility = scenario::ManetMobility::kWaypoint;
+  spec.field_m = 100.0;
+  spec.min_speed_mps = 0.5;
+  spec.max_speed_mps = 1.5;
+  spec.flows = 2;
+  spec.payload_bytes = 256;
+  spec.flow_kbps = 256 * 8 / 250.0;
+  spec.route_lifetime = sim::Time::sec(3);
+  scenario::ManetScenario manet{net, spec};
+  manet.start(sim::Time::ms(500), sim::Time::ms(60'500));
   sim.run_until(sim::Time::sec(62));
 
-  EXPECT_EQ(sent, 240u);
+  const scenario::ManetStats& stats = manet.stats();
+  EXPECT_EQ(stats.sent, 480u);
   // Mobility breaks routes; discovery repairs them. A healthy stack
   // delivers a solid share despite the churn (disconnection intervals
   // are genuine: packets buffered past the discovery retries drop).
-  EXPECT_GT(delivered, 100u) << "delivered " << delivered << "/" << sent;
+  EXPECT_GT(stats.delivery_ratio(), 0.4)
+      << "delivered " << stats.delivered << "/" << stats.sent;
   // Route repair genuinely happened (not a single static route all along).
-  std::uint64_t invalidations = 0;
-  std::uint64_t discoveries = 0;
-  for (const auto& a : aodv) {
-    invalidations += a->counters().routes_invalidated;
-    discoveries += a->counters().rreq_originated;
-  }
-  EXPECT_GT(invalidations, 0u);
-  EXPECT_GT(discoveries, 1u);
-  // Every station kept hearing neighbors (backbone or walkers).
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_GT(hello[i]->hellos_received(), 10u) << "station " << ids[i];
-  }
+  const net::AodvCounters aodv = manet.aodv_totals();
+  EXPECT_GT(aodv.routes_invalidated, 0u);
+  EXPECT_GT(aodv.rreq_originated, 1u);
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "phy/calibration.hpp"
 #include "phy/medium.hpp"
 #include "sim/simulator.hpp"
@@ -284,6 +286,53 @@ TEST_F(DcfTest, EifsAfterUndecodableFrame) {
   sim_.run_until(sim::Time::sec(1));
   EXPECT_GT(b.dcf->counters().rx_errors, 0u);
   EXPECT_EQ(x.received_bytes.size(), 10u);
+}
+
+// MAC lifecycle events published into an obs::TraceSink.
+std::size_t count_kind(const obs::TraceSink& sink, obs::EventKind kind) {
+  std::size_t n = 0;
+  for (const obs::Event& e : sink.events()) {
+    if (e.layer == obs::Layer::kMac && e.kind == kind) ++n;
+  }
+  return n;
+}
+
+TEST(DcfTrace, EndToEndThroughDcf) {
+  sim::Simulator sim{9};
+  phy::Medium medium{sim, phy::default_outdoor_model()};
+  const auto params = phy::paper_calibrated_params(phy::default_outdoor_model());
+  phy::Radio r0{sim, medium, 0, params, {0, 0}};
+  phy::Radio r1{sim, medium, 1, params, {20, 0}};
+  Dcf d0{sim, r0, MacAddress::from_station(0), {}};
+  Dcf d1{sim, r1, MacAddress::from_station(1), {}};
+  obs::TraceSink sink;
+  d0.set_trace_sink(&sink);
+  d1.set_trace_sink(&sink);
+
+  d0.enqueue(d1.address(), std::make_shared<int>(0), 512);
+  sim.run_until(sim::Time::ms(50));
+
+  // Sender TX data, receiver RX data, receiver TX ack, sender RX ack.
+  EXPECT_EQ(count_kind(sink, obs::EventKind::kMacTxStart), 2u);
+  EXPECT_EQ(count_kind(sink, obs::EventKind::kMacRxOk), 2u);
+  EXPECT_EQ(count_kind(sink, obs::EventKind::kMacAckTimeout), 0u);
+}
+
+TEST(DcfTrace, RecordsTimeoutsAndDrops) {
+  sim::Simulator sim{9};
+  phy::Medium medium{sim, phy::default_outdoor_model()};
+  const auto params = phy::paper_calibrated_params(phy::default_outdoor_model());
+  phy::Radio r0{sim, medium, 0, params, {0, 0}};
+  phy::Radio r1{sim, medium, 1, params, {400, 0}};  // unreachable
+  Dcf d0{sim, r0, MacAddress::from_station(0), {}};
+  Dcf d1{sim, r1, MacAddress::from_station(1), {}};
+  obs::TraceSink sink;
+  d0.set_trace_sink(&sink);
+
+  d0.enqueue(d1.address(), std::make_shared<int>(0), 512);
+  sim.run_until(sim::Time::sec(2));
+  EXPECT_EQ(count_kind(sink, obs::EventKind::kMacAckTimeout), 7u);
+  EXPECT_EQ(count_kind(sink, obs::EventKind::kMacDrop), 1u);
 }
 
 }  // namespace

@@ -91,17 +91,6 @@ TEST(RunObserver, FinalizeRecordsTraceHealthAndFreezesProbes) {
   EXPECT_EQ(flat.at("mac.sta0.queue"), 17.0);
 }
 
-TEST(RunObserver, PeriodicSnapshotsTickWithSimClock) {
-  RunObserver observer{ObsLevel::kMetrics};
-  sim::Simulator sim{1};
-  Counter& c = observer.registry()->counter("app", "ticks");
-  sim.after(sim::Time::ms(25), [&c] { c.inc(); });
-  observer.enable_periodic_snapshots(sim, sim::Time::ms(10));
-  sim.run_until(sim::Time::ms(35));
-  // Snapshots at 10/20/30 ms (the next one is past the horizon).
-  EXPECT_EQ(observer.registry()->periodic_count(), 3u);
-}
-
 TEST(RunObserver, ExportsNoOpWhenDisabled) {
   RunObserver off{ObsLevel::kOff};
   sim::Simulator sim{1};

@@ -28,33 +28,6 @@ TEST(LinearMobility, StopsAtStopTime) {
   EXPECT_EQ(m.position_at(sim::Time::sec(50)), (Position{5, 0}));
 }
 
-TEST(WaypointMobility, InterpolatesBetweenWaypoints) {
-  WaypointMobility m{{{sim::Time::zero(), {0, 0}},
-                      {sim::Time::sec(10), {10, 0}},
-                      {sim::Time::sec(20), {10, 20}}}};
-  EXPECT_EQ(m.position_at(sim::Time::sec(5)), (Position{5, 0}));
-  EXPECT_EQ(m.position_at(sim::Time::sec(15)), (Position{10, 10}));
-}
-
-TEST(WaypointMobility, ClampsOutsidePath) {
-  WaypointMobility m{{{sim::Time::sec(1), {1, 1}}, {sim::Time::sec(2), {2, 2}}}};
-  EXPECT_EQ(m.position_at(sim::Time::zero()), (Position{1, 1}));
-  EXPECT_EQ(m.position_at(sim::Time::sec(100)), (Position{2, 2}));
-}
-
-TEST(WaypointMobility, RejectsBadPaths) {
-  EXPECT_THROW(WaypointMobility{{}}, std::invalid_argument);
-  EXPECT_THROW(
-      WaypointMobility({{sim::Time::sec(2), {0, 0}}, {sim::Time::sec(1), {1, 1}}}),
-      std::invalid_argument);
-}
-
-TEST(WaypointMobility, ZeroLengthSegment) {
-  // Two waypoints at the same instant: position jumps, no crash.
-  WaypointMobility m{{{sim::Time::sec(1), {0, 0}}, {sim::Time::sec(1), {5, 5}}}};
-  EXPECT_EQ(m.position_at(sim::Time::sec(1)).x, 0.0);  // front clamp at t<=first
-}
-
 TEST(RadioMobility, PositionTracksModel) {
   sim::Simulator sim{1};
   Medium medium{sim, default_outdoor_model()};

@@ -10,9 +10,7 @@
 
 #include "campaign/aggregate.hpp"
 #include "campaign/result.hpp"
-#include "obs/profile.hpp"
 #include "report/json_read.hpp"
-#include "sim/scheduler.hpp"
 
 namespace adhoc {
 namespace {
@@ -112,24 +110,6 @@ TEST(Scorecard, PerfNumbersStayOutOfTheFidelityFile) {
   const std::string perf = card.perf_json();
   EXPECT_NE(perf.find("\"wall_ms\":12.5"), std::string::npos);
   EXPECT_NE(perf.find("\"bench\":\"split\""), std::string::npos);
-}
-
-TEST(Scorecard, MergeProfileSplitsDeterministicAndWallClockNumbers) {
-  sim::Scheduler sched;
-  obs::SchedulerProfiler profiler;
-  sched.set_probe(&profiler);
-  for (int i = 0; i < 5; ++i) {
-    sched.schedule_in(sim::Time::us(i + 1), [] {});
-  }
-  sched.run();
-
-  report::Scorecard card{"prof"};
-  card.merge_profile(profiler);
-  EXPECT_EQ(card.counters().at("events"), 5u);
-  EXPECT_GE(card.counters().at("queue_high_water"), 1u);
-  // Wall-clock derived numbers land in perf, not in the fidelity file.
-  EXPECT_EQ(card.to_json().find("wall_ms"), std::string::npos);
-  EXPECT_TRUE(card.perf().count("wall_ms"));
 }
 
 TEST(Scorecard, AddCampaignAccumulatesCountersAcrossCampaigns) {

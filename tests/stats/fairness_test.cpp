@@ -2,40 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-
 namespace adhoc::stats {
 namespace {
-
-TEST(JainIndex, PerfectFairness) {
-  const std::array<double, 4> x{5.0, 5.0, 5.0, 5.0};
-  EXPECT_DOUBLE_EQ(jain_index(x), 1.0);
-}
-
-TEST(JainIndex, TotalStarvation) {
-  const std::array<double, 4> x{10.0, 0.0, 0.0, 0.0};
-  EXPECT_DOUBLE_EQ(jain_index(x), 0.25);  // 1/n
-}
-
-TEST(JainIndex, IntermediateValue) {
-  const std::array<double, 2> x{3.0, 1.0};
-  // (4)^2 / (2 * 10) = 0.8
-  EXPECT_DOUBLE_EQ(jain_index(x), 0.8);
-}
-
-TEST(JainIndex, ScaleInvariant) {
-  const std::array<double, 3> a{1.0, 2.0, 3.0};
-  const std::array<double, 3> b{10.0, 20.0, 30.0};
-  EXPECT_DOUBLE_EQ(jain_index(a), jain_index(b));
-}
-
-TEST(JainIndex, EdgeCases) {
-  EXPECT_DOUBLE_EQ(jain_index({}), 1.0);
-  const std::array<double, 3> zeros{0.0, 0.0, 0.0};
-  EXPECT_DOUBLE_EQ(jain_index(zeros), 1.0);
-  const std::array<double, 1> one{7.0};
-  EXPECT_DOUBLE_EQ(jain_index(one), 1.0);
-}
 
 TEST(Imbalance, Values) {
   EXPECT_DOUBLE_EQ(imbalance(5.0, 5.0), 0.0);

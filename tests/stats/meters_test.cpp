@@ -1,11 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
-
-#include "stats/histogram.hpp"
 #include "stats/rate_meter.hpp"
-#include "stats/timeseries.hpp"
 
 namespace adhoc::stats {
 namespace {
@@ -66,65 +61,6 @@ TEST(LossMeter, MoreReceivedThanSentClamps) {
   m.on_received();  // duplicate delivery
   EXPECT_EQ(m.lost(), 0u);
   EXPECT_DOUBLE_EQ(m.loss_rate(), 0.0);
-}
-
-TEST(TimeSeries, Reductions) {
-  TimeSeries ts;
-  ts.add(Time::sec(1), 1.0);
-  ts.add(Time::sec(2), 3.0);
-  ts.add(Time::sec(3), 5.0);
-  EXPECT_DOUBLE_EQ(ts.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(ts.min(), 1.0);
-  EXPECT_DOUBLE_EQ(ts.max(), 5.0);
-  EXPECT_DOUBLE_EQ(ts.mean_after(Time::sec(2)), 4.0);
-  EXPECT_EQ(ts.size(), 3u);
-}
-
-TEST(TimeSeries, EmptyBehaviour) {
-  TimeSeries ts;
-  EXPECT_TRUE(ts.empty());
-  EXPECT_EQ(ts.mean(), 0.0);
-  EXPECT_EQ(ts.mean_after(Time::zero()), 0.0);
-}
-
-TEST(Histogram, BinsAndBounds) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(0.5);   // bin 0
-  h.add(9.9);   // bin 4
-  h.add(-1.0);  // underflow
-  h.add(10.0);  // overflow (right-open)
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_fraction(0), 0.5);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW((Histogram{0.0, 0.0, 5}), std::invalid_argument);
-  EXPECT_THROW((Histogram{0.0, 1.0, 0}), std::invalid_argument);
-}
-
-TEST(Histogram, RejectsNanAndBucketsInfinity) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(std::nan(""));  // rejected, not binned (the cast would be UB)
-  h.add(std::numeric_limits<double>::infinity());
-  h.add(-std::numeric_limits<double>::infinity());
-  h.add(1e300);  // far beyond the range but finite
-  EXPECT_EQ(h.rejected(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.count(), 0u);
-}
-
-TEST(Histogram, EmptyFractionsAreZero) {
-  Histogram h{0.0, 1.0, 4};
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_DOUBLE_EQ(h.bin_fraction(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_fraction(3), 0.0);
 }
 
 }  // namespace

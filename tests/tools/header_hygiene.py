@@ -13,6 +13,11 @@ tree silently shrinks coverage to zero.  --expect-dir pins named
 subtrees — the run fails unless each one contributed at least one
 header.
 
+A root named `src` is also swept for unused headers: a `src/**/*.hpp`
+that nothing includes except its own `.cpp` fails the run.  Includers
+count only from the production trees next to it (src/, tools/, bench/,
+perfbench/, examples/), so a module only tests reach is flagged too.
+
 Usage:
   header_hygiene.py --compiler g++ --std c++20 -I src -I tools \\
       --expect-dir src/concurrency src [more roots]
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import re
 import subprocess
 import sys
 import tempfile
@@ -47,6 +53,38 @@ def check_header(compiler: str, std: str, includes: list[str], root: Path,
     if proc.returncode != 0:
         return header, proc.stderr.strip() or f"exit {proc.returncode}"
     return header, None
+
+
+# Trees whose includes keep a src/ header alive (tests/ deliberately
+# absent), and the quoted-include form they use.
+INCLUDER_DIRS = ("src", "tools", "bench", "perfbench", "examples")
+INCLUDER_SUFFIXES = {".hpp", ".cpp"}
+INCLUDE_RE = re.compile(r'^[ \t]*#[ \t]*include[ \t]*"([^"]+)"', re.MULTILINE)
+
+
+def unused_headers(src_root: Path) -> list[Path]:
+    """Headers under `src_root` included by nothing but their own .cpp.
+
+    An include resolves relative to the including file's directory or to
+    `src_root`, the two forms the tree uses."""
+    src_root = src_root.resolve()
+    headers = {h.resolve() for h in src_root.rglob("*.hpp")}
+    used: set[Path] = set()
+    for name in INCLUDER_DIRS:
+        tree = src_root.parent / name
+        if not tree.is_dir():
+            continue
+        for source in tree.rglob("*"):
+            if source.suffix not in INCLUDER_SUFFIXES or not source.is_file():
+                continue
+            source = source.resolve()
+            text = source.read_text(encoding="utf-8", errors="replace")
+            for inc in INCLUDE_RE.findall(text):
+                for base in (source.parent, src_root):
+                    target = (base / inc).resolve()
+                    if target in headers and source not in (target, target.with_suffix(".cpp")):
+                        used.add(target)
+    return sorted(headers - used)
 
 
 def main(argv: list[str]) -> int:
@@ -110,7 +148,14 @@ def main(argv: list[str]) -> int:
         print(f"FAIL {header}\n{err}\n")
     print(f"header_hygiene: {len(work) - len(failures)}/{len(work)} headers "
           "self-sufficient", file=sys.stderr)
-    return 1 if failures else 0
+
+    unused = [h for root in args.roots if root.resolve().name == "src"
+              for h in unused_headers(root)]
+    for header in unused:
+        print(f"UNUSED {header}: nothing in {', '.join(INCLUDER_DIRS)} includes it "
+              "except its own .cpp")
+    print(f"header_hygiene: {len(unused)} unused src/ headers", file=sys.stderr)
+    return 1 if failures or unused else 0
 
 
 if __name__ == "__main__":

@@ -206,7 +206,6 @@ def main():
         checker = subprocess.run(
             [sys.executable, check_script,
              "--require", "adhocsim_serve_trace_dropped_total",
-             "--require", "adhocsim_serve_frame_trace_dropped_total",
              "--require", "adhocsim_serve_journey_dropped_total",
              str(scratch / "scrape1.txt"), str(scratch / "scrape2.txt")],
             capture_output=True, text=True, timeout=120)
