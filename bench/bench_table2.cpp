@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
                    stats::Table::fmt(err, 1)});
     csv.numeric_row({phy::rate_mbps(cell.rate), static_cast<double>(cell.m_bytes),
                      cell.rts ? 1.0 : 0.0, cell.paper_mbps, std_v, fit_v});
-    // Scorecard cell ids match tests/report/compare_test.cpp's layout.
+    // Cell ids key the baseline diff: renaming one reads as a missing cell.
     const std::string id = std::string(phy::rate_name(cell.rate)) + "/" +
                            std::to_string(cell.m_bytes) + "B/" + (cell.rts ? "rts" : "basic");
     card.add_cell(id, fit_v, cell.paper_mbps, "Mbps");

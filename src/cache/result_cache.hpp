@@ -5,8 +5,8 @@
 // (serve::record_json bytes) that a cold run of that key produced.
 // Because run records are byte-stable and the key covers every input
 // including the code-version stamp, serving a stored payload is
-// indistinguishable from re-running the simulation — the serve layer's
-// scorecard comparator verifies that mechanically (serve_smoke).
+// indistinguishable from re-running the simulation — serve_smoke checks
+// that mechanically with the tools/bench_check.py drift gate.
 //
 // On-disk layout (all names deterministic):
 //

@@ -7,11 +7,8 @@
 
 namespace adhoc::campaign {
 
-// One escaping implementation for the whole repo: obs/json owns it.
-// (The previous local copy missed \b and \f, which broke JSONL parsing
-// of error records containing those control characters.)
-std::string json_escape(std::string_view s) { return obs::json_escape(s); }
-std::string json_number(double v) { return obs::json_number(v); }
+using obs::json_escape;
+using obs::json_number;
 
 namespace {
 

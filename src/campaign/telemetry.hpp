@@ -64,9 +64,4 @@ class JsonlSink final : public TelemetrySink {
   std::ostream* out_ PT_GUARDED_BY(mutex_);
 };
 
-/// Escape a string for embedding in a JSON string literal.
-[[nodiscard]] std::string json_escape(std::string_view s);
-/// Format a double as a JSON number (round-trippable, finite-checked).
-[[nodiscard]] std::string json_number(double v);
-
 }  // namespace adhoc::campaign

@@ -2,8 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace adhoc::report {
@@ -254,17 +252,5 @@ class Parser {
 };
 
 JsonValue JsonValue::parse(std::string_view text) { return Parser{text}.parse_document(); }
-
-JsonValue parse_json_file(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) throw std::runtime_error("cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  try {
-    return JsonValue::parse(buf.str());
-  } catch (const std::exception& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
-}
 
 }  // namespace adhoc::report

@@ -1,8 +1,7 @@
 #pragma once
-// Minimal JSON reader for the scorecard comparator (`adhocsim
-// scorecard`). The simulator itself never parses JSON — obs/json stays
-// emission-only — but diffing a fresh BENCH_*.json against a checked-in
-// baseline requires reading both sides back.
+// Minimal JSON reader for the serve protocol: the daemon parses submit
+// requests, and serve::Client and `adhocsim submit` parse its replies.
+// The simulator itself never parses JSON — obs/json stays emission-only.
 //
 // Supports the full value grammar the emitters produce: objects, arrays,
 // strings (with the escapes obs::json_escape writes), numbers, booleans,
@@ -55,9 +54,5 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::map<std::string, JsonValue> object_;
 };
-
-/// Read and parse a JSON file. Throws std::runtime_error naming the path
-/// on I/O or parse failure.
-[[nodiscard]] JsonValue parse_json_file(const std::string& path);
 
 }  // namespace adhoc::report

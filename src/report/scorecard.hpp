@@ -20,8 +20,8 @@
 //                           (inherently non-reproducible), kept out of
 //                           the fidelity file so byte-stability holds.
 //
-// tools/bench_check.py and `adhocsim scorecard` diff these against the
-// checked-in baselines under bench/baselines/ (see compare.hpp).
+// tools/bench_check.py diffs these against the checked-in baselines
+// under bench/baselines/ (`--bench NAME` for a single pair).
 
 #include <cstdint>
 #include <map>
@@ -39,7 +39,7 @@ namespace adhoc::report {
 /// One scored observation. `paper` is the published reference value when
 /// the paper states one (Table 2/3 cells, analytical bounds); cells
 /// without a crisp published number are still scored against the
-/// checked-in baseline by the comparator.
+/// checked-in baseline by tools/bench_check.py.
 struct Cell {
   std::string id;    ///< stable slug, e.g. "11mbps/512B/basic"
   double sim = 0.0;  ///< simulated / model value
@@ -118,8 +118,8 @@ class Scorecard {
   /// std::runtime_error on I/O failure, naming the path.
   std::string write(const std::string& dir) const;
 
-  /// "BENCH_<bench>.json" — shared with the comparators so the naming
-  /// contract lives in one place.
+  /// "BENCH_<bench>.json" — the name tools/bench_check.py pairs
+  /// baselines and fresh artifacts by.
   [[nodiscard]] static std::string file_name(const std::string& bench);
   [[nodiscard]] static std::string perf_file_name(const std::string& bench);
 

@@ -15,8 +15,7 @@
 // Byte-identity contract: for a given key, out.payloads[i] is the same
 // byte string whether run i was computed or served from the cache —
 // the scorecard built from those records is therefore byte-identical
-// warm vs cold, which serve_smoke asserts with the scorecard
-// comparator.
+// warm vs cold, which serve_smoke asserts with tools/bench_check.py.
 
 #include <cstddef>
 #include <string>

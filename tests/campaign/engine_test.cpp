@@ -157,17 +157,6 @@ TEST(JsonlSink, EmitsOneRecordPerEventWithSchemaFields) {
   EXPECT_NE(out.str().find(R"({"event":"campaign_end","ok":1,"errors":1)"), std::string::npos);
 }
 
-TEST(JsonlSink, JsonHelpers) {
-  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(json_number(1.5), "1.5");
-  EXPECT_EQ(json_number(0.0), "0");
-  // Round-trips exactly even for awkward doubles.
-  const double v = 0.1 + 0.2;
-  double back = 0.0;
-  std::istringstream{json_number(v)} >> back;
-  EXPECT_EQ(back, v);
-}
-
 TEST(CampaignEngine, ZeroJobsResolvesToHardwareConcurrency) {
   const CampaignEngine engine{{0, 1, nullptr}};
   EXPECT_GE(engine.jobs(), 1u);

@@ -20,6 +20,7 @@ TEST(JsonEscape, PassthroughWhenClean) {
 TEST(JsonEscape, QuotesAndBackslashes) {
   EXPECT_EQ(json_escape("say \"hi\""), "say \\\"hi\\\"");
   EXPECT_EQ(json_escape("C:\\path\\file"), "C:\\\\path\\\\file");
+  EXPECT_EQ(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
 
 TEST(JsonEscape, ShortFormControlCharacters) {
@@ -58,6 +59,7 @@ TEST(JsonNumber, IntegersAndRoundTrip) {
   EXPECT_EQ(json_number(0.0), "0");
   EXPECT_EQ(json_number(42.0), "42");
   EXPECT_EQ(json_number(-7.0), "-7");
+  EXPECT_EQ(json_number(1.5), "1.5");
   const double v = 0.1 + 0.2;
   EXPECT_EQ(std::stod(json_number(v)), v);  // shortest round-trip
 }
@@ -94,7 +96,7 @@ TEST(JsonNumber, RoundTripsNegativeZeroAndLargeValues) {
 TEST(JsonNumber, NoFormatFlipsAcrossToleranceBoundaries) {
   // Values that straddle the magnitudes where printf "%g" flips between
   // fixed and scientific notation must each format to a single stable
-  // spelling — a comparator diffing BENCH_*.json at a tolerance boundary
+  // spelling — a drift gate diffing BENCH_*.json at a tolerance boundary
   // sees value changes, never formatting changes, for equal values.
   EXPECT_EQ(json_number(0.001), "0.001");
   EXPECT_EQ(json_number(0.0001), "1e-04");  // scientific once it is shorter

@@ -1,13 +1,12 @@
-// Comparator-side JSON reader: full grammar the obs/report emitters
+// Serve-protocol JSON reader: full grammar the obs/report emitters
 // produce, strict errors with byte offsets.
 
 #include "report/json_read.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "obs/json.hpp"
 
@@ -73,24 +72,6 @@ TEST(JsonRead, RejectsMalformedDocumentsWithByteOffset) {
     // The offset of the bad token must be named.
     EXPECT_NE(std::string{e.what()}.find("4"), std::string::npos) << e.what();
   }
-}
-
-TEST(JsonRead, ParseJsonFileNamesThePathOnFailure) {
-  try {
-    (void)report::parse_json_file("/nonexistent/scorecard.json");
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string{e.what()}.find("/nonexistent/scorecard.json"), std::string::npos);
-  }
-
-  const std::string path = ::testing::TempDir() + "/json_read_test.json";
-  {
-    std::ofstream out{path};
-    out << R"({"k":[1,2,3]})";
-  }
-  const report::JsonValue v = report::parse_json_file(path);
-  EXPECT_EQ(v.find("k")->array().size(), 3u);
-  std::remove(path.c_str());
 }
 
 }  // namespace

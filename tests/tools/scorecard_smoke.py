@@ -10,14 +10,13 @@ Verifies the four contracts the harness rests on:
     bench/baselines/ within fidelity tolerances (perf is warn-only
     here: the CI host's wall clock is not the baseline host's);
   * drift detection — an injected fidelity regression (perturbed cell
-    value) makes both comparators (tools/bench_check.py and `adhocsim
-    scorecard`) exit 1;
+    value) makes tools/bench_check.py exit 1;
   * perf gating — an injected events/sec drop fails, a waiver file (or
-    --perf-waived) turns that specific failure back into a pass, and
+    --perf-warn-only) turns that specific failure back into a pass, and
     usage errors exit 2, never 1.
 
-Usage: scorecard_smoke.py <bench_fig7> <adhocsim> <bench_check.py>
-                          <baselines-dir> <scratch-dir>
+Usage: scorecard_smoke.py <bench_fig7> <bench_check.py> <baselines-dir>
+                          <scratch-dir>
 """
 
 import filecmp
@@ -43,12 +42,12 @@ def run(cmd, expect, what):
 
 
 def main() -> None:
-    if len(sys.argv) != 6:
-        fail(f"usage: {sys.argv[0]} <bench_fig7> <adhocsim> <bench_check.py> "
+    if len(sys.argv) != 5:
+        fail(f"usage: {sys.argv[0]} <bench_fig7> <bench_check.py> "
              "<baselines-dir> <scratch-dir>")
-    bench, adhocsim, bench_check = sys.argv[1], sys.argv[2], sys.argv[3]
-    baselines = pathlib.Path(sys.argv[4])
-    scratch = pathlib.Path(sys.argv[5])
+    bench, bench_check = sys.argv[1], sys.argv[2]
+    baselines = pathlib.Path(sys.argv[3])
+    scratch = pathlib.Path(sys.argv[4])
     shutil.rmtree(scratch, ignore_errors=True)
     run_a, run_b, run_c = scratch / "a", scratch / "b", scratch / "c"
     for d in (run_a, run_b, run_c):
@@ -67,10 +66,8 @@ def main() -> None:
     # --- clean pass against the checked-in baseline ----------------------
     run([sys.executable, bench_check, "--baselines", baselines, "--current", run_a,
          "--bench", "fig7", "--perf-warn-only"], 0, "bench_check clean pass")
-    run([adhocsim, "scorecard", "--baseline", baselines / artifact,
-         "--current", run_a / artifact, "--no-perf"], 0, "adhocsim scorecard clean pass")
 
-    # --- injected fidelity regression must be caught by both gates -------
+    # --- injected fidelity regression must be caught by the gate ---------
     broken = scratch / "broken"
     broken.mkdir()
     doc = json.load(open(run_a / artifact))
@@ -81,8 +78,6 @@ def main() -> None:
                1, "bench_check on injected fidelity drift")
     if "fidelity" not in proc.stdout:
         fail(f"bench_check drift table does not name the fidelity class: {proc.stdout}")
-    run([adhocsim, "scorecard", "--baseline", run_a / artifact,
-         "--current", broken / artifact], 1, "adhocsim scorecard on fidelity drift")
 
     # --- injected perf regression: fails, then waived --------------------
     slow = scratch / "slow"
@@ -102,17 +97,8 @@ def main() -> None:
          "--waivers", waivers], 0, "bench_check with waiver")
     run([sys.executable, bench_check, "--baselines", run_a, "--current", slow,
          "--perf-warn-only"], 0, "bench_check with --perf-warn-only")
-    run([adhocsim, "scorecard", "--baseline", run_a / artifact,
-         "--current", slow / artifact], 1, "adhocsim scorecard on perf drop")
-    run([adhocsim, "scorecard", "--baseline", run_a / artifact,
-         "--current", slow / artifact, "--perf-waived"], 0,
-        "adhocsim scorecard with --perf-waived")
 
     # --- usage / I-O errors are exit 2, never 1 --------------------------
-    run([adhocsim, "scorecard", "--baseline", run_a / artifact], 2,
-        "adhocsim scorecard missing --current")
-    run([adhocsim, "scorecard", "--baseline", scratch / "nope.json",
-         "--current", run_a / artifact], 2, "adhocsim scorecard on missing file")
     run([sys.executable, bench_check, "--baselines", scratch / "nope",
          "--current", run_a], 2, "bench_check on missing baseline dir")
 

@@ -12,11 +12,11 @@ cache, then:
      almost entirely from the cache (>= 90% hit rate) with run records
      byte-identical to the cold pass.
   3. The warm scorecard artifact must equal the cold one byte-for-byte
-     and pass `adhocsim scorecard` (the comparator is the mechanical
-     "cached == recomputed" assertion).
+     and pass tools/bench_check.py with the cold pass as its baseline
+     (the drift gate is the mechanical "cached == recomputed" assertion).
   4. stats/ping/shutdown round-trip and the daemon exits cleanly.
 
-Usage: serve_smoke.py <adhocsim> <scratch-dir>
+Usage: serve_smoke.py <adhocsim> <bench_check.py> <scratch-dir>
 """
 
 import json
@@ -69,9 +69,10 @@ def strip_cached_flag(line):
 
 
 def main():
-    if len(sys.argv) != 3:
-        fail(f"usage: {sys.argv[0]} <adhocsim> <scratch-dir>")
-    adhocsim, scratch = sys.argv[1], pathlib.Path(sys.argv[2])
+    if len(sys.argv) != 4:
+        fail(f"usage: {sys.argv[0]} <adhocsim> <bench_check.py> <scratch-dir>")
+    adhocsim, bench_check = sys.argv[1], sys.argv[2]
+    scratch = pathlib.Path(sys.argv[3])
     # Wipe the scratch: a rerun in the same build dir would otherwise
     # find the previous run's cache warm (same build-id, same keys) and
     # the cold-phase assertions would fail.
@@ -119,18 +120,18 @@ def main():
             if strip_cached_flag(runs_w[idx]) != strip_cached_flag(cold_line):
                 fail(f"run {idx} differs warm vs cold:\n{cold_line}\n{runs_w[idx]}")
 
-        # --- phase 3: scorecard byte-identity + comparator ---------------
+        # --- phase 3: scorecard byte-identity + drift gate ---------------
         artifact = "BENCH_serve_fig2.json"
         cold_bytes = (cold_dir / artifact).read_bytes()
         warm_bytes = (warm_dir / artifact).read_bytes()
         if cold_bytes != warm_bytes:
             fail("warm scorecard differs from cold scorecard")
         cmp = subprocess.run(
-            [adhocsim, "scorecard", "--baseline", str(cold_dir / artifact),
-             "--current", str(warm_dir / artifact), "--no-perf"],
+            [sys.executable, bench_check, "--baselines", str(cold_dir),
+             "--current", str(warm_dir), "--no-perf"],
             capture_output=True, text=True, timeout=120)
         if cmp.returncode != 0:
-            fail(f"scorecard comparator flagged warm vs cold:\n{cmp.stdout}{cmp.stderr}")
+            fail(f"bench_check flagged warm vs cold:\n{cmp.stdout}{cmp.stderr}")
 
         # --- phase 4: control plane --------------------------------------
         stats = subprocess.run(

@@ -18,9 +18,6 @@
 //                     [--jobs N] [--seeds N] [--seconds S] [--obs-level L]
 //                     [--telemetry PATH|-] [--retries R] [--shard I --shards N]
 //                     [--fault-plan NAME|FILE|SPEC] [--scorecard DIR]
-//   adhocsim scorecard --baseline BENCH_x.json --current BENCH_x.json
-//                      [--fidelity-tol F] [--dev-tol F] [--perf-tol F]
-//                      [--no-perf] [--perf-waived]
 //   adhocsim serve --socket PATH [--cache DIR] [--cache-entries N]
 //                  [--cache-mb M] [--jobs N] [--retries R] [--quiet]
 //                  [--log-format text|json] [--shutdown-grace-ms MS]
@@ -59,7 +56,7 @@
 #include "experiments/campaigns.hpp"
 #include "experiments/experiments.hpp"
 #include "experiments/manet.hpp"
-#include "report/compare.hpp"
+#include "report/json_read.hpp"
 #include "report/scorecard.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -325,64 +322,6 @@ int cmd_run(const tools::CliArgs& args) {
     }
   }
   return 0;
-}
-
-/// Load the perf sidecar that belongs to a fidelity file: the trailing
-/// ".json" becomes ".perf.json". Sidecars are optional (machine-bound),
-/// so an absent file yields a null document and perf checking is
-/// silently skipped for that side.
-report::JsonValue load_perf_sidecar(const std::string& fidelity_path) {
-  std::string path = fidelity_path;
-  const std::string suffix = ".json";
-  if (path.size() >= suffix.size() &&
-      path.compare(path.size() - suffix.size(), suffix.size(), suffix) == 0) {
-    path.replace(path.size() - suffix.size(), suffix.size(), ".perf.json");
-  } else {
-    path += ".perf.json";
-  }
-  if (!std::ifstream{path}) return {};
-  return report::parse_json_file(path);
-}
-
-/// `adhocsim scorecard --baseline A.json --current B.json`: diff two
-/// scorecards and their perf sidecars. Exit contract: 0 clean, 1 drift,
-/// 2 usage / I-O error.
-int cmd_scorecard(const tools::CliArgs& args) {
-  const std::string baseline = args.str("baseline", "");
-  const std::string current = args.str("current", "");
-  if (baseline.empty() || current.empty()) {
-    std::cerr << "adhocsim scorecard: --baseline FILE and --current FILE are required\n";
-    return 2;
-  }
-  report::CompareOptions opt;
-  opt.fidelity_rel_tol = args.positive_num("fidelity-tol", opt.fidelity_rel_tol);
-  opt.dev_worsen_tol = args.positive_num("dev-tol", opt.dev_worsen_tol);
-  opt.perf_drop_frac = args.positive_num("perf-tol", opt.perf_drop_frac);
-  opt.check_perf = !args.has("no-perf");
-  const bool perf_waived = args.has("perf-waived");
-
-  report::CompareReport rep;
-  try {
-    const auto base_doc = report::parse_json_file(baseline);
-    const auto cur_doc = report::parse_json_file(current);
-    rep = report::compare_scorecards(base_doc, cur_doc, opt);
-    if (opt.check_perf) {
-      report::compare_perf(load_perf_sidecar(baseline), load_perf_sidecar(current), opt, rep);
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "adhocsim scorecard: " << e.what() << '\n';
-    return 2;
-  }
-
-  const std::string table = rep.table();
-  if (!table.empty()) std::cout << table;
-  std::cout << "scorecard '" << rep.bench << "': " << rep.cells_compared
-            << " cells compared, fidelity " << (rep.fidelity_ok ? "ok" : "DRIFT") << ", perf "
-            << (!opt.check_perf ? "skipped"
-                                : rep.perf_ok ? "ok"
-                                              : perf_waived ? "DRIFT (waived)" : "DRIFT")
-            << '\n';
-  return rep.ok(perf_waived) ? 0 : 1;
 }
 
 int cmd_campaign(const tools::CliArgs& args) {
@@ -707,10 +646,6 @@ void usage() {
       "           [--jobs N] [--telemetry PATH|-] [--retries R] [--obs-level L]\n"
       "           [--shard I --shards N] [--scorecard DIR]\n"
       "                                    parallel sweep + JSONL telemetry\n"
-      "  scorecard --baseline FILE --current FILE [--fidelity-tol F] [--dev-tol F]\n"
-      "            [--perf-tol F] [--no-perf] [--perf-waived]\n"
-      "                                    diff BENCH_*.json against a baseline\n"
-      "                                    (exit 0 clean, 1 drift, 2 usage/IO)\n"
       "  serve --socket PATH [--cache DIR] [--cache-entries N] [--cache-mb M]\n"
       "        [--jobs N] [--retries R] [--quiet] [--log-format text|json]\n"
       "        [--shutdown-grace-ms MS] [--flight-requests N] [--flight-errors K]\n"
@@ -741,7 +676,6 @@ int main(int argc, char** argv) {
     if (cmd == "delay") return cmd_delay(args);
     if (cmd == "run") return cmd_run(args);
     if (cmd == "campaign") return cmd_campaign(args);
-    if (cmd == "scorecard") return cmd_scorecard(args);
     if (cmd == "serve") return cmd_serve(args);
     if (cmd == "submit") return cmd_submit(args);
     if (cmd == "version" || (cmd.empty() && args.has("version"))) return cmd_version();

@@ -1,9 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark-regression gate: diff fresh BENCH_*.json scorecards against
-the checked-in baselines (bench/baselines/).
-
-Mirrors the C++ comparator (src/report/compare.cpp) so CI and local runs
-agree cell-for-cell:
+the checked-in baselines (bench/baselines/). This is the repo's only
+drift gate: CI, local runs and the smoke tests all call it.
 
   fidelity   a cell's sim value may not move more than --fidelity-tol
              relative to the baseline (denominator max(|baseline|, 1),
@@ -21,9 +19,11 @@ agree cell-for-cell:
 
 Usage:
   bench_check.py --baselines DIR --current DIR [flags]
+  bench_check.py --baselines DIR --current DIR --bench NAME   one pair
   bench_check.py --baselines DIR --current DIR --update
 
-Exit codes: 0 clean, 1 drift detected, 2 usage / I-O error.
+Exit codes: 0 clean, 1 drift detected, 2 usage / I-O error (including
+a document that is not a scorecard or a malformed cell).
 --update copies the current fidelity files over the baselines (byte
 copies — the artifacts are already byte-stable) and exits 0.
 """
@@ -50,10 +50,40 @@ def load_json(path: pathlib.Path):
         die(f"{path}: not valid JSON: {e}")
 
 
+def is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def cells_by_id(doc, path: pathlib.Path):
-    if not isinstance(doc, dict) or "cells" not in doc:
-        die(f"{path}: not a scorecard (no 'cells' member)")
-    return {c["id"]: c for c in doc["cells"]}
+    """Index a scorecard's cells by id. A malformed document is a usage
+    error (exit 2), never drift: every cell needs a string id and a
+    numeric sim, and a paper value, when present, must be a number."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
+        die(f"{path}: not a scorecard (no 'cells' array)")
+    cells = {}
+    for i, cell in enumerate(doc["cells"]):
+        if not isinstance(cell, dict) or not isinstance(cell.get("id"), str):
+            die(f"{path}: cell {i} has no string 'id'")
+        if not is_number(cell.get("sim")):
+            die(f"{path}: cell '{cell['id']}' has no numeric 'sim'")
+        if cell.get("paper") is not None and not is_number(cell["paper"]):
+            die(f"{path}: cell '{cell['id']}' has a non-numeric 'paper'")
+        cells[cell["id"]] = cell
+    return cells
+
+
+def load_perf(path: pathlib.Path):
+    """The 'perf' member of a BENCH_*.perf.json sidecar."""
+    doc = load_json(path)
+    if not isinstance(doc, dict) or not isinstance(doc.get("perf", {}), dict):
+        die(f"{path}: not a perf sidecar (expected an object with a 'perf' object)")
+    return doc.get("perf", {})
+
+
+def perf_metric(perf, key):
+    """A positive perf number, or None (absent, non-numeric or <= 0)."""
+    v = perf.get(key)
+    return v if is_number(v) and v > 0 else None
 
 
 def rel_dev(cell):
@@ -65,8 +95,7 @@ def rel_dev(cell):
 
 
 class Drifts:
-    """Collects drift rows and renders the same table layout as the C++
-    CompareReport, so the two front ends read identically in CI logs."""
+    """Collects drift rows and renders them as one table for CI logs."""
 
     def __init__(self):
         self.rows = []
@@ -95,7 +124,7 @@ class Drifts:
         return "\n".join(lines) + "\n"
 
 
-def compare_fidelity(bench, base_doc, cur_doc, base_path, cur_path, opt, drifts):
+def check_fidelity(bench, base_doc, cur_doc, base_path, cur_path, opt, drifts):
     base_cells = cells_by_id(base_doc, base_path)
     cur_cells = cells_by_id(cur_doc, cur_path)
     compared = 0
@@ -124,23 +153,23 @@ def compare_fidelity(bench, base_doc, cur_doc, base_path, cur_path, opt, drifts)
     return compared
 
 
-def compare_perf(bench, base_path, cur_path, opt, drifts):
+def check_perf(bench, base_path, cur_path, opt, drifts):
     """Perf sidecars are optional and machine-bound: silently skip when
     either side is absent."""
     base_side = base_path.parent / (base_path.name[:-len(".json")] + ".perf.json")
     cur_side = cur_path.parent / (cur_path.name[:-len(".json")] + ".perf.json")
     if not base_side.is_file() or not cur_side.is_file():
         return
-    base_perf = load_json(base_side).get("perf", {})
-    cur_perf = load_json(cur_side).get("perf", {})
-    base_eps, cur_eps = base_perf.get("events_per_sec"), cur_perf.get("events_per_sec")
-    if base_eps and cur_eps and base_eps > 0:
+    base_perf, cur_perf = load_perf(base_side), load_perf(cur_side)
+    base_eps = perf_metric(base_perf, "events_per_sec")
+    cur_eps = perf_metric(cur_perf, "events_per_sec")
+    if base_eps and cur_eps:
         drop = (base_eps - cur_eps) / base_eps
         if drop > opt.perf_tol:
             drifts.add("perf", bench, "events_per_sec", base_eps, cur_eps, True,
                        f"throughput dropped {drop * 100:.1f}%")
-    base_ms, cur_ms = base_perf.get("wall_ms"), cur_perf.get("wall_ms")
-    if base_ms and cur_ms and base_ms > 0:
+    base_ms, cur_ms = perf_metric(base_perf, "wall_ms"), perf_metric(cur_perf, "wall_ms")
+    if base_ms and cur_ms:
         rise_limit = opt.perf_tol / (1.0 - opt.perf_tol)
         rise = (cur_ms - base_ms) / base_ms
         if rise > rise_limit:
@@ -214,12 +243,12 @@ def main() -> None:
                        f"{cur_path} was not produced")
             continue
         benches += 1
-        cells += compare_fidelity(name, load_json(base_path), load_json(cur_path),
-                                  base_path, cur_path, args, drifts)
+        cells += check_fidelity(name, load_json(base_path), load_json(cur_path),
+                                base_path, cur_path, args, drifts)
         if not args.no_perf:
             before = drifts.perf_failed
             drifts.perf_failed = False
-            compare_perf(name, base_path, cur_path, args, drifts)
+            check_perf(name, base_path, cur_path, args, drifts)
             if drifts.perf_failed and name in waivers:
                 waived_perf_failures.append(f"{name} ({waivers[name]})")
                 drifts.perf_failed = False
