@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   std::vector<campaign::CampaignResult> results;
   for (const unsigned jobs : job_counts) {
     const auto def = grid16(cfg);
-    const campaign::CampaignEngine engine{{jobs, 3, nullptr}};
+    const campaign::CampaignEngine engine{{jobs, nullptr}};
     results.push_back(engine.run(def.plan, def.run));
   }
 
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
   double warm_wall_ms = 0.0;
   {
     cache::ResultCache cache{{cache_root.string(), "", 0, 0}};
-    const serve::CampaignService service{{opt.jobs, 2, &cache}};
+    const serve::CampaignService service{{opt.jobs, &cache}};
     const auto cold = service.submit(req);
     cold_hits = cold.cache_hits;
     cold_total = cold.cache_hits + cold.cache_misses;

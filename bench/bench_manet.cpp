@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   std::cout << t.to_string() << '\n';
   if (result.error_count() != 0) {
     for (const auto& r : result.runs) {
-      if (!r.ok) std::cout << "run " << r.spec.run_index << " failed: " << r.error.message << '\n';
+      if (!r.ok) std::cout << "run " << r.spec.run_index << " failed: " << r.error << '\n';
     }
     return 1;
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <exception>
 #include <map>
 #include <set>
 #include <thread>
@@ -43,7 +45,6 @@ std::string run_identity(const RunSpec& spec) {
 
 CampaignEngine::CampaignEngine(EngineConfig cfg) : cfg_(cfg) {
   jobs_ = cfg_.jobs != 0 ? cfg_.jobs : std::max(1u, std::thread::hardware_concurrency());
-  if (cfg_.max_attempts == 0) cfg_.max_attempts = 1;
 }
 
 RunRecord CampaignEngine::execute(const RunSpec& spec, const RunFn& fn) const {
@@ -51,25 +52,13 @@ RunRecord CampaignEngine::execute(const RunSpec& spec, const RunFn& fn) const {
   RunRecord record;
   record.spec = spec;
   const auto started = std::chrono::steady_clock::now();  // NOLINT-ADHOC(wall-clock) run wall_ms telemetry
-  for (std::uint32_t attempt = 1;; ++attempt) {
-    record.attempts = attempt;
-    try {
-      record.metrics = fn(spec);
-      record.ok = true;
-      break;
-    } catch (const TransientError& e) {
-      if (attempt >= cfg_.max_attempts) {
-        record.error = {e.what(), /*transient=*/true};
-        break;
-      }
-      // retry: fall through to the next attempt
-    } catch (const std::exception& e) {
-      record.error = {e.what(), /*transient=*/false};
-      break;
-    } catch (...) {
-      record.error = {"unknown exception", /*transient=*/false};
-      break;
-    }
+  try {
+    record.metrics = fn(spec);
+    record.ok = true;
+  } catch (const std::exception& e) {
+    record.error = e.what();
+  } catch (...) {
+    record.error = "unknown exception";
   }
   record.wall_seconds = elapsed_seconds(started);
   if (cfg_.telemetry != nullptr) cfg_.telemetry->run_end(record);

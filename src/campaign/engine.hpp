@@ -8,11 +8,10 @@
 // pull specs from a shared atomic cursor and write into pre-sized,
 // per-run result slots (no locks on the result path).
 //
-// Failure isolation: an exception escaping the run function is captured
-// as a RunError on that run's record — sibling runs are unaffected.
-// A run function may throw TransientError to request a bounded retry
-// (e.g. resource exhaustion in an external stage); other exception types
-// fail the run on the first attempt.
+// Failure isolation: an exception escaping the run function fails that
+// run, once, with its message on the record — sibling runs are
+// unaffected. Runs are never retried: a run is a pure function of its
+// spec, so a second try would fail the same way.
 //
 // Duplicate collapsing: runs are pure functions of (params, seed), so a
 // grid that expands to identical specs (repeated axis values, degenerate
@@ -22,9 +21,7 @@
 // run/point indices); CampaignResult::deduped counts the collapsed runs
 // and rides the campaign_end telemetry record.
 
-#include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <string>
 
 #include "campaign/grid.hpp"
@@ -38,18 +35,9 @@ namespace adhoc::campaign {
 /// inside) or immutable.
 using RunFn = std::function<RunMetrics(const RunSpec&)>;
 
-/// Throw from a RunFn to mark a failure as retryable.
-class TransientError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 struct EngineConfig {
   /// Worker threads; 0 means std::thread::hardware_concurrency().
   unsigned jobs = 0;
-  /// Total tries per run for TransientError (>= 1). Non-transient
-  /// exceptions never retry.
-  unsigned max_attempts = 3;
   /// Optional progress sink; must outlive the engine's run() call.
   TelemetrySink* telemetry = nullptr;
 };

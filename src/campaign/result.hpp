@@ -18,26 +18,19 @@ struct RunMetrics {
   std::map<std::string, double> metrics;
   std::uint64_t events = 0;
   /// Flattened per-run observability snapshot ("mac.sta0.tx_data": v),
-  /// present when the run was executed with an obs::RunObserver.
+  /// present when the run was executed with an obs::RunObserver. Holds
+  /// no host wall time (see obs::RunObserver::outcome_snapshot); trace
+  /// ring losses ride it as "trace.dropped".
   std::map<std::string, double> obs;
-  /// Trace events lost to the sink's ring wrapping during the run.
-  std::uint64_t trace_dropped = 0;
 };
 
-/// A captured failure. `transient` marks runs that kept failing with
-/// TransientError through every retry.
-struct RunError {
-  std::string message;
-  bool transient = false;
-};
-
-/// Outcome of one RunSpec: success with metrics, or an isolated error.
+/// Outcome of one RunSpec: success with metrics, or the message of the
+/// exception that failed it.
 struct RunRecord {
   RunSpec spec;
   bool ok = false;
-  RunMetrics metrics;       // valid when ok
-  RunError error;           // valid when !ok
-  std::uint32_t attempts = 0;
+  RunMetrics metrics;  // valid when ok
+  std::string error;   // valid when !ok
   double wall_seconds = 0.0;
 };
 

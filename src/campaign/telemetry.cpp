@@ -9,32 +9,7 @@ namespace adhoc::campaign {
 
 using obs::json_escape;
 using obs::json_number;
-
-namespace {
-
-std::string params_json(const std::vector<std::pair<std::string, double>>& params) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, value] : params) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + json_escape(name) + "\":" + json_number(value);
-  }
-  return out + "}";
-}
-
-std::string metrics_json(const std::map<std::string, double>& metrics) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, value] : metrics) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + json_escape(name) + "\":" + json_number(value);
-  }
-  return out + "}";
-}
-
-}  // namespace
+using obs::json_object;
 
 JsonlSink::JsonlSink(const std::string& path)
     : owned_(std::make_unique<std::ofstream>(path, std::ios::trunc)), out_(owned_.get()) {
@@ -58,27 +33,22 @@ void JsonlSink::campaign_start(const std::string& name, std::size_t runs, std::s
 void JsonlSink::run_start(const RunSpec& spec) {
   std::ostringstream os;
   os << R"({"event":"run_start","run":)" << spec.run_index << R"(,"point":)" << spec.point_index
-     << R"(,"seed":)" << spec.seed << R"(,"params":)" << params_json(spec.params) << '}';
+     << R"(,"seed":)" << spec.seed << R"(,"params":)" << json_object(spec.params) << '}';
   emit(os.str());
 }
 
 void JsonlSink::run_end(const RunRecord& r) {
   std::ostringstream os;
   os << R"({"event":"run_end","run":)" << r.spec.run_index << R"(,"ok":)"
-     << (r.ok ? "true" : "false") << R"(,"attempts":)" << r.attempts << R"(,"wall_ms":)"
-     << json_number(r.wall_seconds * 1e3);
+     << (r.ok ? "true" : "false") << R"(,"wall_ms":)" << json_number(r.wall_seconds * 1e3);
   if (r.ok) {
     const double rate =
         r.wall_seconds > 0.0 ? static_cast<double>(r.metrics.events) / r.wall_seconds : 0.0;
     os << R"(,"events":)" << r.metrics.events << R"(,"events_per_sec":)" << json_number(rate)
-       << R"(,"metrics":)" << metrics_json(r.metrics.metrics);
-    if (!r.metrics.obs.empty()) {
-      os << R"(,"obs":)" << metrics_json(r.metrics.obs) << R"(,"trace_dropped":)"
-         << r.metrics.trace_dropped;
-    }
+       << R"(,"metrics":)" << json_object(r.metrics.metrics);
+    if (!r.metrics.obs.empty()) os << R"(,"obs":)" << json_object(r.metrics.obs);
   } else {
-    os << R"(,"error":")" << json_escape(r.error.message) << R"(","transient":)"
-       << (r.error.transient ? "true" : "false");
+    os << R"(,"error":")" << json_escape(r.error) << '"';
   }
   os << '}';
   emit(os.str());

@@ -7,13 +7,14 @@
 //
 //   {"event":"campaign_start","campaign":N,"runs":R,"points":P,"seeds":S,"jobs":J}
 //   {"event":"run_start","run":i,"point":p,"seed":s,"params":{...}}
-//   {"event":"run_end","run":i,"ok":true,"attempts":a,"wall_ms":w,
-//    "events":e,"events_per_sec":r,"metrics":{...}}
-//   {"event":"run_end","run":i,"ok":false,"attempts":a,"wall_ms":w,
-//    "error":"...","transient":bool}
+//   {"event":"run_end","run":i,"ok":true,"wall_ms":w,
+//    "events":e,"events_per_sec":r,"metrics":{...}[,"obs":{...}]}
+//   {"event":"run_end","run":i,"ok":false,"wall_ms":w,"error":"..."}
 //   {"event":"campaign_end","ok":k,"errors":f,"deduped":d,"wall_ms":w}
 //
-// "deduped" counts runs collapsed onto an identical (params, seed)
+// "obs" is the run's observability snapshot, present when the campaign
+// runs above obs level off (trace ring losses are its "trace.dropped"
+// key). "deduped" counts runs collapsed onto an identical (params, seed)
 // sibling instead of executing; collapsed runs emit no run_start/run_end
 // records of their own (their copies appear only in the final result).
 //

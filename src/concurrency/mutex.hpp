@@ -48,7 +48,6 @@ enum class LockRank : int {
   kServiceLog = 50,         ///< obs::svc::Logger::mutex_ (taken under
                             ///< kServeConnections by the drain path)
   kCampaignTelemetry = 60,  ///< campaign::JsonlSink::mutex_
-  kSimLog = 70,             ///< sim::Log's line-interleaving mutex
 };
 
 /// Toggle the lock-rank check at runtime (tests force it on so the

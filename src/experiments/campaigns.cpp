@@ -15,20 +15,20 @@ scenario::Transport transport_of(const campaign::RunSpec& spec) {
 }
 
 campaign::RunMetrics four_station_metrics(const FourStationRun& run) {
-  return {{{"s1_kbps", run.session1_kbps}, {"s2_kbps", run.session2_kbps}}, run.events, {}, 0};
+  return {{{"s1_kbps", run.session1_kbps}, {"s2_kbps", run.session2_kbps}}, run.events, {}};
 }
 
 /// Run one replication under a per-run observer (when cfg asks for one)
-/// and fold its snapshot into the campaign metrics. `fn` receives the
-/// observer pointer (null at kOff) and returns the plain metrics; each
-/// worker builds a private observer, so no synchronisation is needed.
+/// and fold its outcome snapshot (no host wall time) into the campaign
+/// metrics. `fn` receives the observer pointer (null at kOff) and
+/// returns the plain metrics; each worker builds a private observer, so
+/// no synchronisation is needed.
 template <typename Fn>
 campaign::RunMetrics observed(const ExperimentConfig& cfg, Fn&& fn) {
   if (cfg.obs_level == obs::ObsLevel::kOff) return fn(nullptr);
   obs::RunObserver observer{cfg.obs_level};
   campaign::RunMetrics m = fn(&observer);
-  if (observer.registry() != nullptr) m.obs = observer.registry()->flatten();
-  if (observer.trace_sink() != nullptr) m.trace_dropped = observer.trace_sink()->dropped();
+  m.obs = observer.outcome_snapshot();
   return m;
 }
 
@@ -116,7 +116,7 @@ ExperimentCampaign fig2_campaign(const ExperimentConfig& cfg) {
     TwoNodeSpec tn{phy::Rate::kR11, spec.flag("rts"), transport_of(spec), 512, 10.0};
     return observed(cfg, [&](obs::RunObserver* obs) -> campaign::RunMetrics {
       const auto r = two_node_run(tn, cfg, spec.seed, obs);
-      return {{{"kbps", r.value}}, r.events, {}, 0};
+      return {{{"kbps", r.value}}, r.events, {}};
     });
   };
   return {std::move(plan), std::move(run)};
@@ -132,7 +132,7 @@ ExperimentCampaign two_node_rates_campaign(const ExperimentConfig& cfg) {
                    10.0};
     return observed(cfg, [&](obs::RunObserver* obs) -> campaign::RunMetrics {
       const auto r = two_node_run(tn, cfg, spec.seed, obs);
-      return {{{"kbps", r.value}}, r.events, {}, 0};
+      return {{{"kbps", r.value}}, r.events, {}};
     });
   };
   return {std::move(plan), std::move(run)};
@@ -149,7 +149,7 @@ ExperimentCampaign fig3_campaign(const ExperimentConfig& cfg, std::uint32_t prob
     ls.probes = probes;
     return observed(cfg, [&](obs::RunObserver* obs) -> campaign::RunMetrics {
       const auto r = loss_run(ls, spec.param("distance_m"), cfg, spec.seed, obs);
-      return {{{"loss", r.value}}, r.events, {}, 0};
+      return {{{"loss", r.value}}, r.events, {}};
     });
   };
   return {std::move(plan), std::move(run)};
@@ -184,7 +184,7 @@ ExperimentCampaign saturation_campaign(std::vector<double> station_counts,
     ss.rts = spec.flag("rts");
     return observed(cfg, [&](obs::RunObserver* obs) -> campaign::RunMetrics {
       const auto r = saturation_run(ss, cfg, spec.seed, obs);
-      return {{{"kbps", r.value}}, r.events, {}, 0};
+      return {{{"kbps", r.value}}, r.events, {}};
     });
   };
   return {std::move(plan), std::move(run)};
@@ -211,8 +211,7 @@ ExperimentCampaign manet_sweep_campaign(std::vector<double> station_counts,
                {"delay_ms", r.mean_delay_ms},
                {"culled_frac", r.culled_fraction()}},
               r.events,
-              {},
-              0};
+              {}};
     });
   };
   return {std::move(plan), std::move(run)};

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/log.hpp"
 
 namespace adhoc::faults {
 
@@ -71,7 +70,6 @@ void FaultInjector::arm() {
           targets_.radios[node]->set_enabled(false);
           ++acct_.node_off;
           trace_instant(obs::EventKind::kFaultNodeOff, node, static_cast<double>(node), 0.0);
-          ADHOC_LOG(kDebug, targets_.sim->now(), "faults", "node " << node << " powered off");
         }, "fault.node_off");
         break;
       case FaultKind::kNodeOn:
@@ -79,7 +77,6 @@ void FaultInjector::arm() {
           targets_.radios[node]->set_enabled(true);
           ++acct_.node_on;
           trace_instant(obs::EventKind::kFaultNodeOn, node, static_cast<double>(node), 0.0);
-          ADHOC_LOG(kDebug, targets_.sim->now(), "faults", "node " << node << " powered on");
         }, "fault.node_on");
         break;
       case FaultKind::kTxPower:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/log.hpp"
 
 namespace adhoc::mac {
 
@@ -230,7 +229,6 @@ void Dcf::send_data_frame() {
   const phy::Rate rate = group ? params_.broadcast_rate
                                : (rate_selector_ ? rate_selector_(item.dst)
                                                  : params_.data_rate);
-  ADHOC_LOG(kTrace, sim_.now(), "dcf", address_ << " TX " << *data);
   radio_.start_tx(phy::TxDescriptor{rate, data->psdu_bits(), params_.preamble, data});
 }
 
@@ -258,12 +256,10 @@ void Dcf::on_exchange_timeout() {
   if (state_ == State::kWaitCts) {
     ++counters_.cts_timeouts;
     trace_queue_head(obs::EventKind::kMacCtsTimeout);
-    ADHOC_LOG(kTrace, sim_.now(), "dcf", address_ << " CTS timeout");
     exchange_failed(/*used_rts=*/true);
   } else if (state_ == State::kWaitAck) {
     ++counters_.ack_timeouts;
     trace_queue_head(obs::EventKind::kMacAckTimeout);
-    ADHOC_LOG(kTrace, sim_.now(), "dcf", address_ << " ACK timeout (cw=" << cw_ << ")");
     exchange_failed(params_.use_rts(current_fragment_bytes(queue_.front())));
   }
 }
@@ -373,7 +369,6 @@ void Dcf::on_rx_ok(std::shared_ptr<const void> payload, phy::Rate /*rate*/, doub
   eifs_pending_ = false;
   const auto frame = std::static_pointer_cast<const Frame>(std::move(payload));
   trace(obs::EventKind::kMacRxOk, *frame);
-  ADHOC_LOG(kTrace, sim_.now(), "dcf", address_ << " RX " << *frame);
   switch (frame->type) {
     case FrameType::kData: handle_data(*frame); break;
     case FrameType::kRts: handle_rts(*frame); break;
@@ -569,7 +564,6 @@ void Dcf::schedule_response(Frame response, bool is_ack) {
           ++counters_.tx_cts;
         }
         trace(obs::EventKind::kMacTxStart, *wire);
-        ADHOC_LOG(kTrace, sim_.now(), "dcf", address_ << " TX " << *wire);
         state_ = State::kResponding;
         radio_.start_tx(
             phy::TxDescriptor{params_.control_rate, wire->psdu_bits(), params_.preamble, wire});

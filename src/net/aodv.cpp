@@ -1,6 +1,5 @@
 #include "net/aodv.hpp"
 
-#include "sim/log.hpp"
 
 namespace adhoc::net {
 
@@ -100,9 +99,6 @@ void Aodv::on_discovery_timeout(Ipv4Address dst) {
   }
   counters_.packets_dropped_no_route += pending.buffered.size();
   for (const auto& [packet, protocol] : pending.buffered) journey_drop(packet->journey);
-  ADHOC_LOG(kDebug, node_.simulator().now(), "aodv",
-            node_.ip() << ": discovery for " << dst << " failed, dropping "
-                       << pending.buffered.size() << " packets");
   pending_.erase(it);
 }
 
@@ -146,8 +142,6 @@ void Aodv::install_route(Ipv4Address dst, Ipv4Address via, std::uint8_t hops,
   r.expires = node_.simulator().now() + params_.active_route_lifetime;
   node_.routes().add_route(dst, via);
   ++counters_.routes_installed;
-  ADHOC_LOG(kDebug, node_.simulator().now(), "aodv",
-            node_.ip() << ": route " << dst << " via " << via << " (" << int(hops) << " hops)");
 }
 
 void Aodv::invalidate_routes_via(Ipv4Address via, std::vector<Ipv4Address>& broken_out) {

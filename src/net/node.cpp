@@ -1,6 +1,5 @@
 #include "net/node.hpp"
 
-#include "sim/log.hpp"
 
 namespace adhoc::net {
 
@@ -52,7 +51,6 @@ bool Node::transmit_routed(std::shared_ptr<const Packet> packet, const Ipv4Heade
     if (!resolved) {
       ++ip_drops_;
       journey_drop(journey);
-      ADHOC_LOG(kDebug, sim_.now(), "net", "node " << id_ << ": no MAC for " << hop);
       return false;
     }
     next_mac = *resolved;

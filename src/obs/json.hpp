@@ -22,4 +22,18 @@ namespace adhoc::obs {
 /// metrics snapshots).
 [[nodiscard]] std::string json_number(double v);
 
+/// `{"k":v,...}` over (name, value) pairs in their iteration order, with
+/// no whitespace: names through json_escape, values through json_number.
+/// The one object writer for flat numeric maps (run records, telemetry
+/// params/metrics, scorecard sections).
+template <typename Pairs>
+[[nodiscard]] std::string json_object(const Pairs& pairs) {
+  std::string out = "{";
+  for (const auto& [name, value] : pairs) {
+    if (out.size() > 1) out += ',';
+    out += '"' + json_escape(name) + "\":" + json_number(static_cast<double>(value));
+  }
+  return out + "}";
+}
+
 }  // namespace adhoc::obs

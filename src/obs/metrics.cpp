@@ -104,17 +104,10 @@ std::string MetricsRegistry::snapshot_json() const {
   for (const auto& [component, metrics] : components_) {
     if (!first_component) out += ',';
     first_component = false;
-    out += '"' + json_escape(component) + "\":{";
     // Flatten within the component so distributions expand in place.
     std::map<std::string, double> values;
     for (const auto& [name, metric] : metrics) flatten_metric(name, *metric, values);
-    bool first_metric = true;
-    for (const auto& [name, value] : values) {
-      if (!first_metric) out += ',';
-      first_metric = false;
-      out += '"' + json_escape(name) + "\":" + json_number(value);
-    }
-    out += '}';
+    out += '"' + json_escape(component) + "\":" + json_object(values);
   }
   return out + "}";
 }

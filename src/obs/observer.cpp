@@ -42,8 +42,8 @@ void RunObserver::finalize(const sim::Simulator& sim) {
   if (!registry_) return;
   if (profiler_) profiler_->register_in(*registry_);
   if (journeys_) journeys_->fold_into(*registry_);
-  // The scheduler's own accounting wins over the profiler's view where
-  // they overlap (its high-water covers scheduling, not just execution).
+  // The scheduler's own accounting, present at every level above off
+  // (the profiler adds per-label counts and wall time only at kFull).
   const sim::Scheduler& sched = sim.scheduler();
   registry_->set_gauge("scheduler", "total_scheduled",
                        static_cast<double>(sched.total_scheduled()));
@@ -62,6 +62,13 @@ void RunObserver::finalize(const sim::Simulator& sim) {
   // Freeze probe values while their targets (DCF, radios, TCP stacks)
   // are still alive; the registry can then outlive the simulation.
   registry_->materialize_probes();
+}
+
+std::map<std::string, double> RunObserver::outcome_snapshot() const {
+  if (!registry_) return {};
+  auto flat = registry_->flatten();
+  std::erase_if(flat, [](const auto& kv) { return SchedulerProfiler::is_host_time_key(kv.first); });
+  return flat;
 }
 
 void RunObserver::write_metrics_json(const std::string& path, sim::Time now) const {

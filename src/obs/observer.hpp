@@ -15,6 +15,7 @@
 // exporting.
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -58,6 +59,12 @@ class RunObserver {
   /// is gone.
   void finalize(const sim::Simulator& sim);
   [[nodiscard]] sim::Time finalized_at() const { return finalized_at_; }
+
+  /// The registry flattened ("mac.sta0.tx_data": v) as a pure function
+  /// of the run: the profiler's host wall times (wall_ms,
+  /// events_per_sec, wall_ms_by_label.*) are left out, its counts kept.
+  /// Campaign run records store this. Empty at kOff; finalize first.
+  [[nodiscard]] std::map<std::string, double> outcome_snapshot() const;
 
   /// Registry export (finalize first). No-ops at kOff. The single-arg
   /// form stamps the document with the clock captured by finalize().

@@ -1,12 +1,13 @@
 #pragma once
-// Scheduler/run profiling: wall-time per event label, events/sec, and
-// queue-depth high-water marks, collected through the sim::SchedulerProbe
-// hook. Attach via Scheduler::set_probe; detached (the default) the
-// scheduler pays a single null-pointer test per event.
+// Scheduler/run profiling: event counts and host wall time per event
+// label, and events/sec, collected through the sim::SchedulerProbe hook.
+// Attach via Scheduler::set_probe; detached (the default) the scheduler
+// pays a single null-pointer test per event.
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "sim/scheduler.hpp"
 
@@ -29,7 +30,6 @@ class SchedulerProfiler final : public sim::SchedulerProbe {
   [[nodiscard]] double events_per_sec() const {
     return wall_seconds_ > 0.0 ? static_cast<double>(events_) / wall_seconds_ : 0.0;
   }
-  [[nodiscard]] std::size_t queue_high_water() const { return queue_high_water_; }
   [[nodiscard]] const std::map<std::string, LabelStats>& by_label() const { return by_label_; }
 
   /// Fold the profile into `reg`: component "scheduler" for the totals,
@@ -37,13 +37,13 @@ class SchedulerProfiler final : public sim::SchedulerProbe {
   /// per-event-type breakdown.
   void register_in(MetricsRegistry& reg) const;
 
-  /// Human-readable multi-line summary (for benches).
-  [[nodiscard]] std::string summary() const;
+  /// True for the flattened registry keys ("scheduler.wall_ms") that
+  /// register_in() fills with host wall time rather than counts.
+  [[nodiscard]] static bool is_host_time_key(std::string_view key);
 
  private:
   std::uint64_t events_ = 0;
   double wall_seconds_ = 0.0;
-  std::size_t queue_high_water_ = 0;
   std::map<std::string, LabelStats> by_label_;
 };
 

@@ -8,12 +8,22 @@
 
 namespace adhoc::phy {
 
+namespace {
+
+/// Allowance (dB) below a radio's weakest energy floor at which a single
+/// signal is still considered relevant: many sub-floor signals can sum
+/// past CCA, so a lone signal this far under the floor is still
+/// delivered. Larger = more conservative, less culling.
+constexpr double kAggregationMarginDb = 10.0;
+/// Mobile-position slack as a fraction of the carrier-sense cutoff. The
+/// index widens queries by this slack and refreshes a mobile radio's
+/// cached position only after it could have drifted that far.
+constexpr double kSlackFrac = 0.25;
+
+}  // namespace
+
 Medium::Medium(sim::Simulator& simulator, const PropagationModel& propagation, MediumConfig config)
-    : sim_(simulator), propagation_(propagation), cfg_(config) {
-  if (cfg_.aggregation_margin_db < 0.0 || cfg_.slack_frac < 0.0) {
-    throw std::invalid_argument("Medium: negative aggregation margin or slack fraction");
-  }
-}
+    : sim_(simulator), propagation_(propagation), cfg_(config) {}
 
 void Medium::attach(Radio& radio) {
   if (!by_id_.emplace(radio.id(), &radio).second) {
@@ -39,12 +49,12 @@ void Medium::ensure_index() {
     floor_dbm =
         std::min(floor_dbm, std::min(r->params().cs_threshold_dbm, r->params().noise_floor_dbm));
   }
-  floor_dbm_ = floor_dbm - cfg_.aggregation_margin_db;
+  floor_dbm_ = floor_dbm - kAggregationMarginDb;
   const double margin_db = propagation_.stochastic_margin_db();
   const double budget_db = max_tx_dbm - floor_dbm_ + margin_db;
   cs_cutoff_m_ = budget_db > 0.0 ? propagation_.distance_for_loss(budget_db) : 0.0;
   spatial::UniformGrid::Config gc;
-  gc.slack_m = cfg_.slack_frac * cs_cutoff_m_;
+  gc.slack_m = kSlackFrac * cs_cutoff_m_;
   gc.cell_m = std::max(cs_cutoff_m_ + gc.slack_m, 1.0);
   grid_.emplace(gc);
   const sim::Time now = sim_.now();

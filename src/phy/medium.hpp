@@ -66,15 +66,6 @@ struct MediumConfig {
   /// fan-out — the oracle for differential tests, and a micro-topology
   /// escape hatch).
   bool spatial_index = true;
-  /// Allowance (dB) below a radio's weakest energy floor at which a
-  /// single signal is still considered relevant: many sub-floor signals
-  /// can sum past CCA, so a lone signal this far under the floor is
-  /// still delivered. Larger = more conservative, less culling.
-  double aggregation_margin_db = 10.0;
-  /// Mobile-position slack as a fraction of the carrier-sense cutoff.
-  /// The index widens queries by this slack and refreshes a mobile
-  /// radio's cached position only after it could have drifted that far.
-  double slack_frac = 0.25;
 };
 
 class Medium {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sim/log.hpp"
 
 namespace adhoc::phy {
 
@@ -134,8 +133,6 @@ sim::Time Radio::start_tx(const TxDescriptor& desc) {
     update_cca();
   }, "phy.tx_end");
   update_cca();
-  ADHOC_LOG(kTrace, sim_.now(), "phy", "radio " << id_ << " tx start, dur=" << duration.to_us()
-                                                << "us rate=" << desc.rate);
   return duration;
 }
 
@@ -164,12 +161,6 @@ void Radio::signal_start(SignalId sid, double rx_dbm, const TxDescriptor& desc) 
       const bool payload_ok = rx_dbm >= params_.sensitivity(desc.rate) &&
                               sinr_db >= params_.sinr_threshold(desc.rate);
       lock_ = Lock{sid, dbm_to_mw(rx_dbm), desc, payload_ok, false};
-      if (!payload_ok) {
-        ADHOC_LOG(kTrace, sim_.now(), "phy",
-                  "radio " << id_ << " lock plcp-only: rx=" << rx_dbm << " dBm sens("
-                           << desc.rate << ")=" << params_.sensitivity(desc.rate)
-                           << " sinr=" << sinr_db);
-      }
     } else if (!plcp_power_ok) {
       ++frames_below_plcp_threshold_;
     } else {
@@ -213,8 +204,6 @@ void Radio::noise_start(SignalId sid, double rx_dbm) {
   ++noise_bursts_heard_;
   update_lock_sinr();
   update_cca();
-  ADHOC_LOG(kTrace, sim_.now(), "phy",
-            "radio " << id_ << " noise start, rx=" << rx_dbm << " dBm");
 }
 
 void Radio::set_enabled(bool on) {

@@ -13,6 +13,7 @@ namespace adhoc::report {
 
 using obs::json_escape;
 using obs::json_number;
+using obs::json_object;
 
 std::optional<double> Cell::rel_dev() const {
   if (!paper.has_value() || *paper == 0.0) return std::nullopt;  // NOLINT-ADHOC(fp-compare)
@@ -105,17 +106,7 @@ std::string Scorecard::to_json() const {
     first = false;
     out += cell_json(*c);
   }
-  out += "\n],\n\"counters\":{";
-  first = true;
-  for (const auto& [name, value] : counters_) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(name);
-    out += "\":";
-    out += json_number(static_cast<double>(value));
-  }
-  out += "}";
+  out += "\n],\n\"counters\":" + json_object(counters_);
   if (!delay_breakdown_.empty()) {
     // Optional section, top-level key order stays alphabetical:
     // counters < delay_breakdown < schema. Absent when unused, so
@@ -125,14 +116,7 @@ std::string Scorecard::to_json() const {
     for (const auto& [id, phases] : delay_breakdown_) {
       out += first ? "\n" : ",\n";
       first = false;
-      out += '"' + json_escape(id) + "\":{";
-      bool first_phase = true;
-      for (const auto& [phase, value] : phases) {
-        if (!first_phase) out += ',';
-        first_phase = false;
-        out += '"' + json_escape(phase) + "\":" + json_number(value);
-      }
-      out += '}';
+      out += '"' + json_escape(id) + "\":" + json_object(phases);
     }
     out += "\n}";
   }
@@ -149,18 +133,8 @@ std::string Scorecard::to_json() const {
 
 std::string Scorecard::perf_json() const {
   if (perf_.empty()) return {};
-  std::string out = "{\n\"bench\":\"" + json_escape(bench_) + "\",\n\"perf\":{";
-  bool first = true;
-  for (const auto& [name, value] : perf_) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    out += json_escape(name);
-    out += "\":";
-    out += json_number(value);
-  }
-  out += "},\n\"schema\":1\n}\n";
-  return out;
+  return "{\n\"bench\":\"" + json_escape(bench_) + "\",\n\"perf\":" + json_object(perf_) +
+         ",\n\"schema\":1\n}\n";
 }
 
 std::string Scorecard::file_name(const std::string& bench) { return "BENCH_" + bench + ".json"; }

@@ -12,17 +12,6 @@ namespace adhoc::serve {
 
 namespace {
 
-std::string sorted_map_json(const std::map<std::string, double>& values) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, value] : values) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + obs::json_escape(name) + "\":" + obs::json_number(value);
-  }
-  return out + "}";
-}
-
 std::uint64_t checked_u64(double v, const char* what) {
   if (!(v >= 0.0) || std::floor(v) != v || v > 9.007199254740992e15) {
     throw std::invalid_argument(std::string{"serve: non-integral "} + what + " in payload");
@@ -92,17 +81,10 @@ SubmitRequest parse_submit_request(const report::JsonValue& doc) {
 }
 
 std::string record_json(const campaign::RunRecord& record) {
-  std::string out = R"({"attempts":)" + std::to_string(record.attempts);
-  if (record.ok) {
-    out += R"(,"events":)" + std::to_string(record.metrics.events) + R"(,"metrics":)" +
-           sorted_map_json(record.metrics.metrics) + R"(,"obs":)" +
-           sorted_map_json(record.metrics.obs) + R"(,"ok":true,"trace_dropped":)" +
-           std::to_string(record.metrics.trace_dropped);
-  } else {
-    out += R"(,"error":")" + obs::json_escape(record.error.message) + R"(","ok":false,"transient":)" +
-           (record.error.transient ? "true" : "false");
-  }
-  return out + "}";
+  if (!record.ok) return R"({"error":")" + obs::json_escape(record.error) + R"(","ok":false})";
+  return R"({"events":)" + std::to_string(record.metrics.events) + R"(,"metrics":)" +
+         obs::json_object(record.metrics.metrics) + R"(,"obs":)" +
+         obs::json_object(record.metrics.obs) + R"(,"ok":true})";
 }
 
 campaign::RunRecord parse_record_json(const std::string& payload) {
@@ -113,13 +95,9 @@ campaign::RunRecord parse_record_json(const std::string& payload) {
     throw std::invalid_argument(std::string{"serve: malformed record payload: "} + e.what());
   }
   const auto* ok = doc.find("ok");
-  const auto* attempts = doc.find("attempts");
-  if (ok == nullptr || attempts == nullptr) {
-    throw std::invalid_argument("serve: record payload missing ok/attempts");
-  }
+  if (ok == nullptr) throw std::invalid_argument("serve: record payload missing ok");
   campaign::RunRecord record;
   record.ok = ok->boolean();
-  record.attempts = static_cast<std::uint32_t>(checked_u64(attempts->number(), "attempts"));
   if (record.ok) {
     const auto* metrics = doc.find("metrics");
     const auto* events = doc.find("events");
@@ -129,14 +107,10 @@ campaign::RunRecord parse_record_json(const std::string& payload) {
     record.metrics.metrics = number_map(*metrics, "metrics");
     record.metrics.events = checked_u64(events->number(), "events");
     if (const auto* obs = doc.find("obs")) record.metrics.obs = number_map(*obs, "obs");
-    if (const auto* dropped = doc.find("trace_dropped")) {
-      record.metrics.trace_dropped = checked_u64(dropped->number(), "trace_dropped");
-    }
   } else {
     const auto* error = doc.find("error");
     if (error == nullptr) throw std::invalid_argument("serve: failed record payload missing error");
-    record.error.message = error->str();
-    if (const auto* transient = doc.find("transient")) record.error.transient = transient->boolean();
+    record.error = error->str();
   }
   return record;
 }

@@ -14,10 +14,11 @@
 // Responses are documented on server.hpp. This header also owns the
 // run-record payload serialization — the byte unit the result cache
 // stores. record_json() deliberately excludes everything positional or
-// wall-clock (run_index, point_index, wall_seconds): the payload
-// depends only on the run's (params, seed, config, code) inputs, so a
-// cache hit can be spliced into any campaign and remain byte-identical
-// to what a cold run of that spec would have produced.
+// wall-clock (run_index, point_index, wall_seconds; the obs snapshot
+// leaves out the profiler's wall times): the payload depends only on
+// the run's (params, seed, config, code) inputs, so a cache hit can be
+// spliced into any campaign and remain byte-identical to what a cold
+// run of that spec would have produced.
 
 #include <cstdint>
 #include <string>
@@ -55,12 +56,13 @@ struct SubmitRequest {
 
 /// Byte-stable payload for one run record (the cache unit):
 ///
-///   {"attempts":A,"events":E,"metrics":{...},"obs":{...},"ok":true,
-///    "trace_dropped":T}
-///   {"attempts":A,"error":"...","ok":false,"transient":B}
+///   {"events":E,"metrics":{...},"obs":{...},"ok":true}
+///   {"error":"...","ok":false}
 ///
-/// Keys sorted, doubles through obs::json_number, no newline. Equal
-/// run inputs produce equal payload bytes (determinism contract).
+/// Keys sorted, doubles through obs::json_number, no newline. "obs" is
+/// the run's observability snapshot (empty at obs level off), which
+/// carries no host wall time. Equal run inputs produce equal payload
+/// bytes at every obs level (determinism contract).
 [[nodiscard]] std::string record_json(const campaign::RunRecord& record);
 
 /// Invert record_json: reconstruct the outcome fields of a RunRecord

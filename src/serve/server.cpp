@@ -8,7 +8,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -44,8 +43,8 @@ bool write_line(int fd, const std::string& line) {
 }
 
 /// write_line, attributing the time to the trace's stream phase.
-bool send_line(int fd, const std::string& line, RequestTrace* trace) {
-  const PhaseScope scope{trace, Phase::kStream};
+bool send_line(int fd, const std::string& line, RequestTrace& trace) {
+  const PhaseScope scope{&trace, Phase::kStream};
   return write_line(fd, line);
 }
 
@@ -82,31 +81,27 @@ class FdStreambuf final : public std::streambuf {
   int fd_;
 };
 
-std::string params_json(const std::vector<std::pair<std::string, double>>& params) {
-  std::string out = "{";
-  bool first = true;
-  for (const auto& [name, value] : params) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + obs::json_escape(name) + "\":" + obs::json_number(value);
-  }
-  return out + "}";
+/// `{"message":"...","request":"r-N","type":"error"}`.
+std::string error_line(const std::string& message, const RequestTrace& trace) {
+  return R"({"message":")" + obs::json_escape(message) + R"(","request":")" +
+         obs::json_escape(trace.id()) + R"(","type":"error"})";
 }
 
-/// `{"message":"...","request":"r-N","type":"error"}` (request omitted
-/// when no trace is in scope).
-std::string error_line(const std::string& message, const RequestTrace* trace) {
-  std::string out = R"({"message":")" + obs::json_escape(message) + '"';
-  if (trace != nullptr) out += R"(,"request":")" + obs::json_escape(trace->id()) + '"';
-  return out + R"(,"type":"error"})";
+/// The service config a server runs: engine counters land in the
+/// server's telemetry registry. Throws when no telemetry is wired.
+ServiceConfig service_config(const ServerConfig& cfg) {
+  if (cfg.telemetry == nullptr) {
+    throw std::invalid_argument("serve: ServerConfig::telemetry is null");
+  }
+  ServiceConfig sc = cfg.service;
+  sc.metrics = &cfg.telemetry->metrics;
+  return sc;
 }
 
 }  // namespace
 
-Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)), service_(cfg_.service) {
-  if (cfg_.telemetry != nullptr) {
-    cfg_.telemetry->metrics.set_gauge("serve", "connections_in_flight", 0.0);
-  }
+Server::Server(ServerConfig cfg) : cfg_(std::move(cfg)), service_(service_config(cfg_)) {
+  cfg_.telemetry->metrics.set_gauge("serve", "connections_in_flight", 0.0);
 }
 
 Server::~Server() {
@@ -197,10 +192,8 @@ void Server::handle_connection(int fd) {
     const conc::MutexLock lock{conn_mutex_};
     active_fds_.insert(fd);
   }
-  obs::svc::ServiceTelemetry* telemetry = cfg_.telemetry;
-  if (telemetry != nullptr) {
-    telemetry->metrics.add_gauge("serve", "connections_in_flight", 1.0);
-  }
+  obs::svc::ServiceTelemetry& telemetry = *cfg_.telemetry;
+  telemetry.metrics.add_gauge("serve", "connections_in_flight", 1.0);
 
   std::string buffer;
   char chunk[4096];
@@ -218,24 +211,19 @@ void Server::handle_connection(int fd) {
       const std::string line = buffer.substr(start, nl - start);
       start = nl + 1;
       if (line.empty()) continue;
-      std::optional<RequestTrace> trace;
-      if (telemetry != nullptr) {
-        trace.emplace(telemetry->mint_request_id(), "unknown");
-        const std::uint64_t now = obs::svc::steady_ns();
-        trace->add_ns(Phase::kAccept, now > wait_begin_ns ? now - wait_begin_ns : 0);
-      }
-      RequestTrace* trace_ptr = trace.has_value() ? &*trace : nullptr;
+      RequestTrace trace{telemetry.mint_request_id(), "unknown"};
+      const std::uint64_t now = obs::svc::steady_ns();
+      trace.add_ns(Phase::kAccept, now > wait_begin_ns ? now - wait_begin_ns : 0);
       try {
-        if (!handle_line(fd, line, trace_ptr)) {
+        if (!handle_line(fd, line, trace)) {
           open = false;  // shutdown: reply sent, accept loop woken
         }
       } catch (const std::exception& e) {
-        if (trace_ptr != nullptr) trace_ptr->fail(e.what());
-        send_line(fd, error_line(e.what(), trace_ptr), trace_ptr);
-        log_info(std::string{"request failed: "} + e.what(),
-                 trace_ptr != nullptr ? trace_ptr->id() : "");
+        trace.fail(e.what());
+        send_line(fd, error_line(e.what(), trace), trace);
+        log_info(std::string{"request failed: "} + e.what(), trace.id());
       }
-      if (trace.has_value()) telemetry->finish_request(*trace);
+      telemetry.finish_request(trace);
       wait_begin_ns = obs::svc::steady_ns();
       if (!open) break;
     }
@@ -243,9 +231,7 @@ void Server::handle_connection(int fd) {
   }
   ::close(fd);
 
-  if (telemetry != nullptr) {
-    telemetry->metrics.add_gauge("serve", "connections_in_flight", -1.0);
-  }
+  telemetry.metrics.add_gauge("serve", "connections_in_flight", -1.0);
   {
     const conc::MutexLock lock{conn_mutex_};
     active_fds_.erase(fd);
@@ -253,22 +239,18 @@ void Server::handle_connection(int fd) {
   conn_cv_.notify_all();
 }
 
-bool Server::handle_line(int fd, const std::string& line, RequestTrace* trace) {
-  if (trace != nullptr) trace->start(Phase::kParse);
+bool Server::handle_line(int fd, const std::string& line, RequestTrace& trace) {
+  trace.start(Phase::kParse);
   const auto doc = report::JsonValue::parse(line);
   const auto* type = doc.find("type");
   if (type == nullptr || !type->is_string()) {
-    if (trace != nullptr) {
-      trace->stop(Phase::kParse);
-      trace->fail("request has no \"type\" member");
-    }
+    trace.stop(Phase::kParse);
+    trace.fail("request has no \"type\" member");
     send_line(fd, error_line("request has no \"type\" member", trace), trace);
     return true;
   }
-  if (trace != nullptr) {
-    trace->set_verb(type->str());
-    trace->stop(Phase::kParse);
-  }
+  trace.set_verb(type->str());
+  trace.stop(Phase::kParse);
   const std::string& version =
       cfg_.service.cache != nullptr ? cfg_.service.cache->version() : cache::code_version();
   if (type->str() == "submit") {
@@ -283,30 +265,21 @@ bool Server::handle_line(int fd, const std::string& line, RequestTrace* trace) {
              std::to_string(s.invalidated) + R"(,"misses":)" + std::to_string(s.misses) +
              R"(,"stores":)" + std::to_string(s.stores);
     }
-    out += '}';
-    if (cfg_.telemetry != nullptr) {
-      const auto& metrics = cfg_.telemetry->metrics;
-      out += R"(,"serve":{"journey_dropped":)" +
-             std::to_string(
-                 static_cast<std::uint64_t>(metrics.value("serve", "journey_dropped_total"))) +
-             R"(,"trace_dropped":)" +
-             std::to_string(
-                 static_cast<std::uint64_t>(metrics.value("serve", "trace_dropped_total"))) +
-             '}';
-    }
-    out += R"(,"type":"stats","version":")" + obs::json_escape(version) + R"("})";
+    const auto total = [this](const char* name) {
+      const double v = cfg_.telemetry->metrics.value("serve", name);
+      return std::to_string(static_cast<std::uint64_t>(v));
+    };
+    out += R"(},"serve":{"journey_dropped":)" + total("journey_dropped_total") +
+           R"(,"trace_dropped":)" + total("trace_dropped_total") +
+           R"(},"type":"stats","version":")" + obs::json_escape(version) + R"("})";
     send_line(fd, out, trace);
   } else if (type->str() == "metrics") {
-    if (cfg_.telemetry == nullptr) {
-      send_line(fd, error_line("telemetry disabled; no metrics to expose", trace), trace);
-      return true;
-    }
     const auto* format = doc.find("format");
     const std::string fmt =
         format != nullptr && format->is_string() ? format->str() : std::string{"json"};
     std::string out;
     {
-      const PhaseScope serialize_scope{trace, Phase::kSerialize};
+      const PhaseScope serialize_scope{&trace, Phase::kSerialize};
       if (fmt == "json") {
         out = R"({"format":"json","metrics":)" + cfg_.telemetry->metrics.snapshot_json();
       } else if (fmt == "prometheus") {
@@ -318,91 +291,84 @@ bool Server::handle_line(int fd, const std::string& line, RequestTrace* trace) {
                   trace);
         return true;
       }
-      if (trace != nullptr) out += R"(,"request":")" + obs::json_escape(trace->id()) + '"';
-      out += R"(,"type":"metrics"})";
+      out += R"(,"request":")" + obs::json_escape(trace.id()) + R"(","type":"metrics"})";
     }
     send_line(fd, out, trace);
   } else if (type->str() == "debug") {
-    if (cfg_.telemetry == nullptr) {
-      send_line(fd, error_line("telemetry disabled; no flight recorder", trace), trace);
-      return true;
-    }
     std::string out;
     {
-      const PhaseScope serialize_scope{trace, Phase::kSerialize};
+      const PhaseScope serialize_scope{&trace, Phase::kSerialize};
       out = R"({"flight":")" +
-            obs::json_escape(cfg_.telemetry->recorder.to_jsonl(obs::svc::unix_ms())) + '"';
-      if (trace != nullptr) out += R"(,"request":")" + obs::json_escape(trace->id()) + '"';
-      out += R"(,"type":"debug"})";
+            obs::json_escape(cfg_.telemetry->recorder.to_jsonl(obs::svc::unix_ms())) +
+            R"(","request":")" + obs::json_escape(trace.id()) + R"(","type":"debug"})";
     }
     send_line(fd, out, trace);
   } else if (type->str() == "ping") {
     send_line(fd, R"({"type":"pong","version":")" + obs::json_escape(version) + R"("})", trace);
   } else if (type->str() == "shutdown") {
     send_line(fd, R"({"type":"bye"})", trace);
-    log_info("shutdown requested", trace != nullptr ? trace->id() : "");
+    log_info("shutdown requested", trace.id());
     stop();
     return false;
   } else {
     send_line(fd, error_line("unknown request type '" + type->str() + "'", trace), trace);
-    if (trace != nullptr) trace->fail("unknown request type '" + type->str() + "'");
+    trace.fail("unknown request type '" + type->str() + "'");
   }
   return true;
 }
 
-void Server::handle_submit(int fd, const report::JsonValue& doc, RequestTrace* trace) {
-  if (trace != nullptr) trace->start(Phase::kParse);
+void Server::handle_submit(int fd, const report::JsonValue& doc, RequestTrace& trace) {
+  trace.start(Phase::kParse);
   const SubmitRequest req = parse_submit_request(doc);
   const auto cfg = req.to_config();
   // Resolve the plan up front: an unknown grid becomes an error line
   // before any start record, and the start record can announce the
   // expansion size.
   const auto plan = experiments::campaign_by_name(req.grid, cfg, req.probes).plan;
-  if (trace != nullptr) trace->stop(Phase::kParse);
+  trace.stop(Phase::kParse);
   const std::string& version =
       cfg_.service.cache != nullptr ? cfg_.service.cache->version() : cache::code_version();
-  std::string start_line = R"({"cache_version":")" + obs::json_escape(version) +
-                           R"(","campaign":")" + obs::json_escape(plan.name) + R"(","points":)" +
-                           std::to_string(plan.grid.points());
-  if (trace != nullptr) start_line += R"(,"request":")" + obs::json_escape(trace->id()) + '"';
-  start_line += R"(,"runs":)" + std::to_string(plan.total_runs()) + R"(,"seeds":)" +
-                std::to_string(plan.seeds.size()) + R"(,"type":"submit_start"})";
-  send_line(fd, start_line, trace);
+  send_line(fd,
+            R"({"cache_version":")" + obs::json_escape(version) + R"(","campaign":")" +
+                obs::json_escape(plan.name) + R"(","points":)" +
+                std::to_string(plan.grid.points()) + R"(,"request":")" +
+                obs::json_escape(trace.id()) + R"(","runs":)" + std::to_string(plan.total_runs()) +
+                R"(,"seeds":)" + std::to_string(plan.seeds.size()) + R"(,"type":"submit_start"})",
+            trace);
 
   FdStreambuf telemetry_buf{fd};
   std::ostream telemetry_out{&telemetry_buf};
   campaign::JsonlSink telemetry{telemetry_out};
-  const SubmitOutcome outcome = service_.submit(req, &telemetry, trace);
+  const SubmitOutcome outcome = service_.submit(req, &telemetry, &trace);
 
   // Assemble every response line first (serialize), then stream. Run
   // and scorecard lines are byte-stable artifacts shared warm vs cold —
   // they must never carry the request id (see server.hpp).
   std::vector<std::string> lines;
   {
-    const PhaseScope serialize_scope{trace, Phase::kSerialize};
+    const PhaseScope serialize_scope{&trace, Phase::kSerialize};
     lines.reserve(outcome.result.runs.size() + 2);
     for (std::size_t i = 0; i < outcome.result.runs.size(); ++i) {
       const auto& spec = outcome.result.runs[i].spec;
       lines.push_back(R"({"cached":)" + std::string{outcome.cached[i] ? "1" : "0"} +
-                      R"(,"params":)" + params_json(spec.params) + R"(,"point":)" +
+                      R"(,"params":)" + obs::json_object(spec.params) + R"(,"point":)" +
                       std::to_string(spec.point_index) + R"(,"record":)" + outcome.payloads[i] +
                       R"(,"run":)" + std::to_string(spec.run_index) + R"(,"seed":)" +
                       std::to_string(spec.seed) + R"(,"type":"run"})");
     }
     lines.push_back(R"({"bench":")" + obs::json_escape(outcome.bench) + R"(","scorecard":")" +
                     obs::json_escape(outcome.scorecard_json) + R"(","type":"scorecard"})");
-    std::string end_line = R"({"cache_hits":)" + std::to_string(outcome.cache_hits) +
-                           R"(,"cache_misses":)" + std::to_string(outcome.cache_misses) +
-                           R"(,"deduped":)" + std::to_string(outcome.result.deduped) +
-                           R"(,"errors":)" + std::to_string(outcome.result.error_count()) +
-                           R"(,"ok":)" + std::to_string(outcome.result.ok_count());
-    if (trace != nullptr) end_line += R"(,"request":")" + obs::json_escape(trace->id()) + '"';
-    end_line += R"(,"type":"submit_end","wall_ms":)" +
-                obs::json_number(outcome.result.wall_seconds * 1e3) + "}";
-    lines.push_back(std::move(end_line));
+    lines.push_back(R"({"cache_hits":)" + std::to_string(outcome.cache_hits) +
+                    R"(,"cache_misses":)" + std::to_string(outcome.cache_misses) +
+                    R"(,"deduped":)" + std::to_string(outcome.result.deduped) +
+                    R"(,"errors":)" + std::to_string(outcome.result.error_count()) +
+                    R"(,"ok":)" + std::to_string(outcome.result.ok_count()) +
+                    R"(,"request":")" + obs::json_escape(trace.id()) +
+                    R"(","type":"submit_end","wall_ms":)" +
+                    obs::json_number(outcome.result.wall_seconds * 1e3) + "}");
   }
   {
-    const PhaseScope stream_scope{trace, Phase::kStream};
+    const PhaseScope stream_scope{&trace, Phase::kStream};
     for (const std::string& out_line : lines) {
       if (!write_line(fd, out_line)) break;
     }
@@ -410,7 +376,7 @@ void Server::handle_submit(int fd, const report::JsonValue& doc, RequestTrace* t
   log_info("submit " + req.grid + ": " + std::to_string(outcome.cache_hits) + " hits, " +
                std::to_string(outcome.cache_misses) + " misses, " +
                std::to_string(outcome.result.error_count()) + " errors",
-           trace != nullptr ? trace->id() : "");
+           trace.id());
 }
 
 void Server::log_info(const std::string& text, const std::string& request_id) {

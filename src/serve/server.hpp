@@ -10,8 +10,6 @@
 //   submit ->
 //     {"cache_version":"V","campaign":"fig2","points":P,"request":"r-1",
 //      "runs":N,"seeds":S,"type":"submit_start"}
-//                                   "request" present when telemetry is
-//                                   wired (always under `adhocsim serve`)
 //     {"event":...}                 engine telemetry for cache misses,
 //                                   streamed live (campaign/telemetry.hpp
 //                                   schema — lines with an "event" key)
@@ -33,9 +31,8 @@
 //                "hits":...,"invalidated":...,"misses":...,"stores":...},
 //                "serve":{"journey_dropped":J,"trace_dropped":T},
 //                "type":"stats","version":"V"}
-//                ("serve" section present when telemetry is wired:
-//                cumulative observability-loss counters — TraceSink ring
-//                drops and journey-record ring overwrites)
+//                ("serve": cumulative observability-loss counters —
+//                TraceSink ring drops and journey-record ring overwrites)
 //   metrics  -> {"format":"json","metrics":{...},"request":"r-2",
 //                "type":"metrics"}  "metrics" embeds the raw
 //                                   ServiceMetrics::snapshot_json object
@@ -47,6 +44,9 @@
 //   ping     -> {"type":"pong","version":"V"}
 //   shutdown -> {"type":"bye"} and the daemon exits its accept loop
 //   (errors) -> {"message":"...","request":"r-4","type":"error"}
+//
+// Every request line gets an id ("r-N") and a trace; the submit_start,
+// submit_end, metrics, debug and error lines always carry that id.
 //
 // Malformed requests produce an error line and keep the connection
 // open; a submit that throws mid-expansion reports the error the same
@@ -75,10 +75,11 @@ struct ServerConfig {
   std::string socket_path;  ///< AF_UNIX path; unlinked on close
   ServiceConfig service;
   obs::svc::Logger* log = nullptr;  ///< optional daemon log (not owned)
-  /// Shared request telemetry (ids, phase histograms, flight recorder);
-  /// null disables tracing, the metrics/debug verbs, and the stats
-  /// "serve" section. Not owned. When set, service.metrics should point
-  /// at telemetry->metrics so engine counters land in the same registry.
+  /// Shared request telemetry (ids, phase histograms, flight recorder).
+  /// Required: the Server constructor throws std::invalid_argument when
+  /// it is null. Not owned. The server points its service's metrics at
+  /// telemetry->metrics, so engine counters land in the same registry
+  /// whatever service.metrics says.
   obs::svc::ServiceTelemetry* telemetry = nullptr;
   /// How long run() waits for in-flight requests after the accept loop
   /// exits before force-closing their connections.
@@ -87,6 +88,7 @@ struct ServerConfig {
 
 class Server {
  public:
+  /// Throws std::invalid_argument when cfg.telemetry is null.
   explicit Server(ServerConfig cfg);
   ~Server();
   Server(const Server&) = delete;
@@ -109,8 +111,8 @@ class Server {
  private:
   void handle_connection(int fd);
   /// Returns false when the connection should close (shutdown request).
-  bool handle_line(int fd, const std::string& line, obs::svc::RequestTrace* trace);
-  void handle_submit(int fd, const report::JsonValue& doc, obs::svc::RequestTrace* trace);
+  bool handle_line(int fd, const std::string& line, obs::svc::RequestTrace& trace);
+  void handle_submit(int fd, const report::JsonValue& doc, obs::svc::RequestTrace& trace);
   void log_info(const std::string& text, const std::string& request_id = "");
 
   ServerConfig cfg_;

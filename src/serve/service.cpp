@@ -39,9 +39,6 @@ class MetricsTee final : public campaign::TelemetrySink {
     if (metrics_ != nullptr) {
       metrics_->add_gauge("serve", "queue_depth", -1.0);
       metrics_->inc("serve", "engine_runs_total");
-      if (record.attempts > 1) {
-        metrics_->inc("serve", "engine_retries_total", record.attempts - 1);
-      }
       if (!record.ok) metrics_->inc("serve", "engine_runs_failed_total");
       metrics_->observe("serve", "run_wall_ms", record.wall_seconds * 1e3);
     }
@@ -148,7 +145,6 @@ SubmitOutcome CampaignService::submit(const SubmitRequest& req,
     if (!miss_specs.empty()) {
       campaign::EngineConfig ec;
       ec.jobs = cfg_.jobs;
-      ec.max_attempts = 1 + cfg_.retries;
       ec.telemetry = &tee;
       const campaign::CampaignEngine engine{ec};
       auto missed = engine.run_list(def.plan.name, std::move(miss_specs), def.run);
@@ -184,18 +180,20 @@ SubmitOutcome CampaignService::submit(const SubmitRequest& req,
     if (out.cache_misses > 0) {
       cfg_.metrics->inc("serve", "runs_served_total", out.cache_misses, {{"source", "engine"}});
     }
-    // Observability-loss counters: TraceSink ring drops recorded per
-    // run, and journey-record ring overwrites (the flattened obs key
-    // "journey.journey_dropped").
-    std::uint64_t trace_dropped = 0;
-    std::uint64_t journey_dropped = 0;
-    for (const auto& record : out.result.runs) {
-      trace_dropped += record.metrics.trace_dropped;
-      if (const auto it = record.metrics.obs.find("journey.journey_dropped");
-          it != record.metrics.obs.end()) {
-        journey_dropped += static_cast<std::uint64_t>(it->second);
+    // Observability-loss counters, summed from each run's obs snapshot:
+    // TraceSink ring drops ("trace.dropped") and journey-record ring
+    // overwrites ("journey.journey_dropped").
+    const auto obs_total = [&](const std::string& key) {
+      std::uint64_t n = 0;
+      for (const auto& record : out.result.runs) {
+        if (const auto it = record.metrics.obs.find(key); it != record.metrics.obs.end()) {
+          n += static_cast<std::uint64_t>(it->second);
+        }
       }
-    }
+      return n;
+    };
+    const std::uint64_t trace_dropped = obs_total("trace.dropped");
+    const std::uint64_t journey_dropped = obs_total("journey.journey_dropped");
     if (trace_dropped > 0) {
       cfg_.metrics->inc("serve", "trace_dropped_total", trace_dropped);
     }

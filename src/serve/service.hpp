@@ -9,8 +9,8 @@
 // campaign::CampaignEngine via run_list, which also collapses
 // duplicate specs before dispatch), stores every successful miss, and
 // reassembles the result in expansion order. Failed runs are never
-// cached: a transient failure is not a deterministic function of the
-// key.
+// cached: a failure may come from the host (out of memory, say) rather
+// than from the key, so the next submit recomputes it.
 //
 // Byte-identity contract: for a given key, out.payloads[i] is the same
 // byte string whether run i was computed or served from the cache —
@@ -30,8 +30,7 @@
 namespace adhoc::serve {
 
 struct ServiceConfig {
-  unsigned jobs = 0;     ///< engine workers; 0 = hardware concurrency
-  unsigned retries = 2;  ///< transient-error retries per run
+  unsigned jobs = 0;  ///< engine workers; 0 = hardware concurrency
   /// Result cache; null disables memoization (every submit runs cold).
   /// Not owned. ResultCache is thread-safe, so one cache may back
   /// concurrent submits; identical concurrent misses may compute twice

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/log.hpp"
 
 namespace adhoc::transport {
 

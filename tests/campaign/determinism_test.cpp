@@ -23,7 +23,7 @@ experiments::ExperimentCampaign tiny_campaign() {
 
 campaign::CampaignResult run_with_jobs(unsigned jobs) {
   const auto def = tiny_campaign();
-  const campaign::CampaignEngine engine{{jobs, 1, nullptr}};
+  const campaign::CampaignEngine engine{{jobs, nullptr}};
   return engine.run(def.plan, def.run);
 }
 

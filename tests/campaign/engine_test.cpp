@@ -21,9 +21,9 @@ Campaign small_campaign(std::vector<double> xs, std::vector<std::uint64_t> seeds
 
 TEST(CampaignEngine, RunsEverySpecInOrder) {
   const auto c = small_campaign({1, 2, 3}, {10, 20});
-  const CampaignEngine engine{{2, 1, nullptr}};
+  const CampaignEngine engine{{2, nullptr}};
   const auto result = engine.run(c, [](const RunSpec& s) -> RunMetrics {
-    return {{{"y", s.param("x") * 10.0 + static_cast<double>(s.seed)}}, 5, {}, 0};
+    return {{{"y", s.param("x") * 10.0 + static_cast<double>(s.seed)}}, 5, {}};
   });
   ASSERT_EQ(result.runs.size(), 6u);
   EXPECT_EQ(result.ok_count(), 6u);
@@ -32,7 +32,6 @@ TEST(CampaignEngine, RunsEverySpecInOrder) {
     const auto& r = result.runs[i];
     EXPECT_EQ(r.spec.run_index, i);
     EXPECT_TRUE(r.ok);
-    EXPECT_EQ(r.attempts, 1u);
     EXPECT_DOUBLE_EQ(r.metrics.metrics.at("y"),
                      r.spec.param("x") * 10.0 + static_cast<double>(r.spec.seed));
   }
@@ -40,62 +39,36 @@ TEST(CampaignEngine, RunsEverySpecInOrder) {
 
 TEST(CampaignEngine, FailureIsIsolatedToTheThrowingRun) {
   const auto c = small_campaign({1, 2, 3, 4}, {1});
-  const CampaignEngine engine{{2, 3, nullptr}};
+  const CampaignEngine engine{{2, nullptr}};
   const auto result = engine.run(c, [](const RunSpec& s) -> RunMetrics {
     if (s.param("x") == 3.0) throw std::runtime_error("boom at x=3");
-    return {{{"y", 1.0}}, 1, {}, 0};
+    return {{{"y", 1.0}}, 1, {}};
   });
   ASSERT_EQ(result.runs.size(), 4u);
   EXPECT_EQ(result.ok_count(), 3u);
   EXPECT_EQ(result.error_count(), 1u);
   const auto& failed = result.runs[2];
   EXPECT_FALSE(failed.ok);
-  EXPECT_EQ(failed.error.message, "boom at x=3");
-  EXPECT_FALSE(failed.error.transient);
-  EXPECT_EQ(failed.attempts, 1u) << "non-transient errors must not retry";
+  EXPECT_EQ(failed.error, "boom at x=3");
   // Siblings unaffected.
   EXPECT_TRUE(result.runs[0].ok);
   EXPECT_TRUE(result.runs[1].ok);
   EXPECT_TRUE(result.runs[3].ok);
 }
 
-TEST(CampaignEngine, TransientErrorsRetryUpToMaxAttempts) {
-  const auto c = small_campaign({1}, {1});
-  std::atomic<int> calls{0};
-  const RunFn flaky = [&](const RunSpec&) -> RunMetrics {
-    if (calls.fetch_add(1) < 2) throw TransientError("try again");
-    return {{{"y", 42.0}}, 1, {}, 0};
-  };
-
-  // 3 attempts: fails twice, succeeds on the third.
-  const CampaignEngine engine{{1, 3, nullptr}};
-  const auto ok = engine.run(c, flaky);
-  EXPECT_TRUE(ok.runs[0].ok);
-  EXPECT_EQ(ok.runs[0].attempts, 3u);
-  EXPECT_DOUBLE_EQ(ok.runs[0].metrics.metrics.at("y"), 42.0);
-
-  // 2 attempts: still failing when the budget runs out.
-  calls = 0;
-  const CampaignEngine strict{{1, 2, nullptr}};
-  const auto failed = strict.run(c, flaky);
-  EXPECT_FALSE(failed.runs[0].ok);
-  EXPECT_TRUE(failed.runs[0].error.transient);
-  EXPECT_EQ(failed.runs[0].attempts, 2u);
-}
-
 TEST(CampaignEngine, NonStdExceptionIsCaptured) {
   const auto c = small_campaign({1}, {1});
-  const CampaignEngine engine{{1, 1, nullptr}};
+  const CampaignEngine engine{{1, nullptr}};
   const auto result = engine.run(c, [](const RunSpec&) -> RunMetrics { throw 17; });
   EXPECT_FALSE(result.runs[0].ok);
-  EXPECT_EQ(result.runs[0].error.message, "unknown exception");
+  EXPECT_EQ(result.runs[0].error, "unknown exception");
 }
 
 TEST(CampaignEngine, ShardRunsOnlyItsSlice) {
   const auto c = small_campaign({1, 2, 3}, {1, 2});  // 6 runs
-  const CampaignEngine engine{{1, 1, nullptr}};
+  const CampaignEngine engine{{1, nullptr}};
   const RunFn fn = [](const RunSpec& s) -> RunMetrics {
-    return {{{"y", static_cast<double>(s.run_index)}}, 1, {}, 0};
+    return {{{"y", static_cast<double>(s.run_index)}}, 1, {}};
   };
   const auto s0 = engine.run_shard(c, 0, 2, fn);
   const auto s1 = engine.run_shard(c, 1, 2, fn);
@@ -107,10 +80,10 @@ TEST(CampaignEngine, ShardRunsOnlyItsSlice) {
 
 TEST(Aggregate, FoldsPerPointWithFailuresExcluded) {
   const auto c = small_campaign({1, 2}, {1, 2, 3});
-  const CampaignEngine engine{{1, 1, nullptr}};
+  const CampaignEngine engine{{1, nullptr}};
   const auto result = engine.run(c, [](const RunSpec& s) -> RunMetrics {
     if (s.param("x") == 2.0 && s.seed == 2) throw std::runtime_error("lost run");
-    return {{{"y", s.param("x") * 100.0 + static_cast<double>(s.seed)}}, 1, {}, 0};
+    return {{{"y", s.param("x") * 100.0 + static_cast<double>(s.seed)}}, 1, {}};
   });
   const auto points = aggregate_by_point(result);
   ASSERT_EQ(points.size(), 2u);
@@ -126,10 +99,10 @@ TEST(JsonlSink, EmitsOneRecordPerEventWithSchemaFields) {
   std::ostringstream out;
   JsonlSink sink{out};
   const auto c = small_campaign({1, 2}, {1});
-  const CampaignEngine engine{{2, 1, &sink}};
+  const CampaignEngine engine{{2, &sink}};
   const auto result = engine.run(c, [](const RunSpec& s) -> RunMetrics {
     if (s.param("x") == 2.0) throw std::runtime_error("bad \"quote\"");
-    return {{{"kbps", 123.5}}, 1000, {}, 0};
+    return {{{"kbps", 123.5}}, 1000, {}};
   });
   EXPECT_EQ(result.error_count(), 1u);
 
@@ -158,7 +131,7 @@ TEST(JsonlSink, EmitsOneRecordPerEventWithSchemaFields) {
 }
 
 TEST(CampaignEngine, ZeroJobsResolvesToHardwareConcurrency) {
-  const CampaignEngine engine{{0, 1, nullptr}};
+  const CampaignEngine engine{{0, nullptr}};
   EXPECT_GE(engine.jobs(), 1u);
 }
 
@@ -167,10 +140,10 @@ TEST(CampaignEngine, CollapsesDuplicateSpecsBeforeDispatch) {
   // (params, seed) pair appears twice, so half the runs must collapse.
   const auto c = small_campaign({3, 3}, {1, 2});
   std::atomic<int> executions{0};
-  const CampaignEngine engine{{2, 1, nullptr}};
+  const CampaignEngine engine{{2, nullptr}};
   const auto result = engine.run(c, [&](const RunSpec& s) -> RunMetrics {
     executions.fetch_add(1);
-    return {{{"y", s.param("x") + static_cast<double>(s.seed)}}, 7, {}, 0};
+    return {{{"y", s.param("x") + static_cast<double>(s.seed)}}, 7, {}};
   });
   ASSERT_EQ(result.runs.size(), 4u);
   EXPECT_EQ(executions.load(), 2) << "one execution per distinct (params, seed)";
@@ -188,10 +161,10 @@ TEST(CampaignEngine, CollapsesDuplicateSpecsBeforeDispatch) {
 TEST(CampaignEngine, DistinctSpecsAreNotCollapsed) {
   const auto c = small_campaign({1, 2}, {1, 2});
   std::atomic<int> executions{0};
-  const CampaignEngine engine{{1, 1, nullptr}};
+  const CampaignEngine engine{{1, nullptr}};
   const auto result = engine.run(c, [&](const RunSpec&) -> RunMetrics {
     executions.fetch_add(1);
-    return {{{"y", 1.0}}, 1, {}, 0};
+    return {{{"y", 1.0}}, 1, {}};
   });
   EXPECT_EQ(executions.load(), 4);
   EXPECT_EQ(result.deduped, 0u);
@@ -201,9 +174,9 @@ TEST(JsonlSink, CampaignEndReportsDedupedCount) {
   std::ostringstream out;
   JsonlSink sink{out};
   const auto c = small_campaign({5, 5}, {1});  // duplicate point, 1 dedupe
-  const CampaignEngine engine{{1, 1, &sink}};
+  const CampaignEngine engine{{1, &sink}};
   const auto result = engine.run(c, [](const RunSpec&) -> RunMetrics {
-    return {{{"y", 1.0}}, 1, {}, 0};
+    return {{{"y", 1.0}}, 1, {}};
   });
   EXPECT_EQ(result.deduped, 1u);
   EXPECT_NE(out.str().find(R"("deduped":1)"), std::string::npos) << out.str();
@@ -225,9 +198,9 @@ TEST(CampaignEngine, RunListExecutesAdHocSpecLists) {
     specs[i].seed = 1;
     specs[i].params = {{"x", static_cast<double>(i)}};
   }
-  const CampaignEngine engine{{2, 1, nullptr}};
+  const CampaignEngine engine{{2, nullptr}};
   const auto result = engine.run_list("adhoc", specs, [](const RunSpec& s) -> RunMetrics {
-    return {{{"y", s.param("x") * 2.0}}, 1, {}, 0};
+    return {{{"y", s.param("x") * 2.0}}, 1, {}};
   });
   EXPECT_EQ(result.name, "adhoc");
   ASSERT_EQ(result.runs.size(), 3u);

@@ -22,8 +22,8 @@ int main() {
   cfg.obs_level = obs::ObsLevel::kMetrics;  // includes the "faults" component
 
   const auto def = experiments::fig7_faults_campaign(cfg);
-  const campaign::CampaignEngine sequential{{1, 1, nullptr}};
-  const campaign::CampaignEngine parallel{{4, 1, nullptr}};
+  const campaign::CampaignEngine sequential{{1, nullptr}};
+  const campaign::CampaignEngine parallel{{4, nullptr}};
   const auto seq = sequential.run(def.plan, def.run);
   const auto par = parallel.run(def.plan, def.run);
 

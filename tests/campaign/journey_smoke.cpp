@@ -4,36 +4,17 @@
 // recorder per run (span bookkeeping, ledger, per-flow fold) across
 // the worker pool. Contracts checked per run: the conservation ledger
 // balances, the crash point attributes drops to the powered-off radio,
-// and every journey export — ledger gauges and per-flow phase
-// histograms included — is bit-identical between jobs=1 and jobs=4.
+// and the whole obs snapshot — journey ledger gauges, per-flow phase
+// histograms and scheduler profile counts included — is bit-identical
+// between jobs=1 and jobs=4.
 
 #include <iostream>
-#include <map>
-#include <string>
 
 #include "campaign/campaign.hpp"
 #include "experiments/campaigns.hpp"
 #include "experiments/experiments.hpp"
 
 using namespace adhoc;
-
-namespace {
-
-/// The journeys level sits above full, so the obs snapshot carries the
-/// scheduler profile whose wall-clock values (wall_ms*, events_per_sec)
-/// are inherently non-reproducible; everything else must be
-/// bit-identical across worker counts.
-std::map<std::string, double> deterministic_obs(const std::map<std::string, double>& obs) {
-  std::map<std::string, double> out;
-  for (const auto& [key, value] : obs) {
-    if (key.find("wall_ms") != std::string::npos || key.find("events_per_sec") != std::string::npos)
-      continue;
-    out.emplace(key, value);
-  }
-  return out;
-}
-
-}  // namespace
 
 int main() {
   experiments::ExperimentConfig cfg;
@@ -45,8 +26,8 @@ int main() {
   cfg.obs_level = obs::ObsLevel::kJourneys;
 
   const auto def = experiments::fig7_faults_campaign(cfg);
-  const campaign::CampaignEngine sequential{{1, 1, nullptr}};
-  const campaign::CampaignEngine parallel{{4, 1, nullptr}};
+  const campaign::CampaignEngine sequential{{1, nullptr}};
+  const campaign::CampaignEngine parallel{{4, nullptr}};
   const auto seq = sequential.run(def.plan, def.run);
   const auto par = parallel.run(def.plan, def.run);
 
@@ -59,8 +40,7 @@ int main() {
   for (std::size_t i = 0; i < seq.runs.size(); ++i) {
     const auto& a = seq.runs[i].metrics;
     const auto& b = par.runs[i].metrics;
-    if (a.metrics != b.metrics || a.events != b.events ||
-        deterministic_obs(a.obs) != deterministic_obs(b.obs)) {
+    if (a.metrics != b.metrics || a.events != b.events || a.obs != b.obs) {
       std::cerr << "journey_smoke: run " << i << " diverges between jobs=1 and jobs=4\n";
       return 1;
     }

@@ -17,8 +17,7 @@ RunRecord failed_record(std::string message) {
   RunRecord r;
   r.spec.run_index = 7;
   r.ok = false;
-  r.error.message = std::move(message);
-  r.attempts = 1;
+  r.error = std::move(message);
   return r;
 }
 
@@ -37,7 +36,9 @@ TEST(JsonlSink, EscapesHostileErrorMessages) {
     EXPECT_GE(static_cast<unsigned char>(line[i]), 0x20u) << "raw control byte at " << i;
   }
   EXPECT_EQ(line.back(), '\n');
-  EXPECT_NE(line.find("\"transient\":false"), std::string::npos);
+  EXPECT_EQ(line, R"({"event":"run_end","run":7,"ok":false,"wall_ms":0,)"
+                  R"("error":"bad \"path\\x\"\nnext\tline \b\f\u0001 end"})"
+                  "\n");
 }
 
 TEST(JsonlSink, RunEndCarriesObsSnapshot) {
@@ -49,12 +50,13 @@ TEST(JsonlSink, RunEndCarriesObsSnapshot) {
   r.wall_seconds = 0.5;
   r.metrics.metrics = {{"kbps", 1234.5}};
   r.metrics.events = 1000;
-  r.metrics.obs = {{"mac.sta0.tx_data", 42.0}, {"scheduler.total_executed", 1000.0}};
-  r.metrics.trace_dropped = 3;
+  r.metrics.obs = {{"mac.sta0.tx_data", 42.0}, {"trace.dropped", 3.0}};
   sink.run_end(r);
-  const std::string line = out.str();
-  EXPECT_NE(line.find("\"obs\":{\"mac.sta0.tx_data\":42,"), std::string::npos);
-  EXPECT_NE(line.find("\"trace_dropped\":3"), std::string::npos);
+  EXPECT_EQ(out.str(),
+            R"({"event":"run_end","run":0,"ok":true,"wall_ms":500,"events":1000,)"
+            R"("events_per_sec":2000,"metrics":{"kbps":1234.5},)"
+            R"("obs":{"mac.sta0.tx_data":42,"trace.dropped":3}})"
+            "\n");
 }
 
 TEST(JsonlSink, RunEndOmitsObsWhenNotObserved) {
@@ -66,7 +68,6 @@ TEST(JsonlSink, RunEndOmitsObsWhenNotObserved) {
   r.metrics.metrics = {{"kbps", 1.0}};
   sink.run_end(r);
   EXPECT_EQ(out.str().find("\"obs\""), std::string::npos);
-  EXPECT_EQ(out.str().find("trace_dropped"), std::string::npos);
 }
 
 // Determinism contract for JSONL records: metric keys are emitted in
@@ -76,7 +77,6 @@ TEST(JsonlSink, RunEndOmitsObsWhenNotObserved) {
 TEST(JsonlSink, RunEndMetricKeysSortedAndInsertionOrderIndependent) {
   RunRecord a;
   a.ok = true;
-  a.attempts = 1;
   a.metrics.metrics["zeta"] = 2.0;
   a.metrics.metrics["alpha"] = 1.0;
   a.metrics.obs["scheduler.events"] = 9.0;

@@ -60,7 +60,6 @@ TEST(RunObserver, ProfilerCollectsThroughSchedulerProbe) {
   ASSERT_EQ(prof.by_label().count("test.a"), 1u);
   EXPECT_EQ(prof.by_label().at("test.a").count, 2u);
   EXPECT_EQ(prof.by_label().at("test.b").count, 1u);
-  EXPECT_FALSE(prof.summary().empty());
 
   observer.finalize(sim);
   const auto flat = observer.registry()->flatten();
@@ -68,6 +67,31 @@ TEST(RunObserver, ProfilerCollectsThroughSchedulerProbe) {
   EXPECT_EQ(flat.at("scheduler.total_executed"), 3.0);
   EXPECT_GE(flat.at("scheduler.queue_high_water"), 1.0);
   EXPECT_EQ(observer.finalized_at(), sim::Time::ms(1));
+}
+
+TEST(RunObserver, OutcomeSnapshotKeepsCountsAndDropsHostTime) {
+  RunObserver observer{ObsLevel::kFull};
+  sim::Simulator sim{1};
+  sim.scheduler().set_probe(observer.profiler());
+  sim.after(sim::Time::us(10), [] {}, "test.a");
+  sim.run_until(sim::Time::ms(1));
+  observer.finalize(sim);
+
+  const auto flat = observer.registry()->flatten();
+  EXPECT_EQ(flat.count("scheduler.wall_ms"), 1u);
+  EXPECT_EQ(flat.count("scheduler.events_per_sec"), 1u);
+  EXPECT_EQ(flat.count("scheduler.wall_ms_by_label.test.a"), 1u);
+
+  const auto snapshot = observer.outcome_snapshot();
+  for (const auto& [key, value] : snapshot) {
+    EXPECT_FALSE(SchedulerProfiler::is_host_time_key(key)) << key;
+  }
+  EXPECT_EQ(snapshot.size(), flat.size() - 3);
+  EXPECT_EQ(snapshot.at("scheduler.events"), 1.0);
+  EXPECT_EQ(snapshot.at("scheduler.count_by_label.test.a"), 1.0);
+  EXPECT_EQ(snapshot.at("trace.dropped"), 0.0);
+
+  EXPECT_TRUE(RunObserver{ObsLevel::kOff}.outcome_snapshot().empty());
 }
 
 TEST(RunObserver, FinalizeRecordsTraceHealthAndFreezesProbes) {

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "experiments/campaigns.hpp"
 #include "obs/observer.hpp"
 
 namespace adhoc::serve {
@@ -88,11 +89,9 @@ TEST(SubmitRequest, UnknownObsLevelMessageNamesEveryAcceptedLevel) {
 TEST(RecordJson, OkRecordRoundTripsByteExactly) {
   campaign::RunRecord record;
   record.ok = true;
-  record.attempts = 2;
   record.metrics.events = 123456;
   record.metrics.metrics = {{"kbps", 3346.432}, {"s2_kbps", 0.1 + 0.2}};
-  record.metrics.obs = {{"mac.sta0.tx_data", 42.0}};
-  record.metrics.trace_dropped = 7;
+  record.metrics.obs = {{"mac.sta0.tx_data", 42.0}, {"trace.dropped", 7.0}};
   record.wall_seconds = 9.9;   // positional/wall state must not leak in
   record.spec.run_index = 99;  // (cache hits splice into other campaigns)
 
@@ -102,9 +101,7 @@ TEST(RecordJson, OkRecordRoundTripsByteExactly) {
 
   const auto back = parse_record_json(payload);
   EXPECT_TRUE(back.ok);
-  EXPECT_EQ(back.attempts, 2u);
   EXPECT_EQ(back.metrics.events, 123456u);
-  EXPECT_EQ(back.metrics.trace_dropped, 7u);
   EXPECT_EQ(back.metrics.metrics, record.metrics.metrics);
   EXPECT_EQ(back.metrics.obs, record.metrics.obs);
   // The byte-identity contract: serialize(parse(p)) == p.
@@ -114,35 +111,52 @@ TEST(RecordJson, OkRecordRoundTripsByteExactly) {
 TEST(RecordJson, FailedRecordRoundTrips) {
   campaign::RunRecord record;
   record.ok = false;
-  record.attempts = 3;
-  record.error.message = "boom \"quoted\"\nnewline";
-  record.error.transient = true;
+  record.error = "boom \"quoted\"\nnewline";
 
   const std::string payload = record_json(record);
+  EXPECT_EQ(payload, R"({"error":"boom \"quoted\"\nnewline","ok":false})");
   const auto back = parse_record_json(payload);
   EXPECT_FALSE(back.ok);
-  EXPECT_EQ(back.attempts, 3u);
-  EXPECT_EQ(back.error.message, record.error.message);
-  EXPECT_TRUE(back.error.transient);
+  EXPECT_EQ(back.error, record.error);
   EXPECT_EQ(record_json(back), payload);
 }
 
 TEST(RecordJson, PayloadKeysAreSorted) {
   campaign::RunRecord record;
   record.ok = true;
-  record.attempts = 1;
-  const std::string payload = record_json(record);
-  EXPECT_LT(payload.find("\"attempts\""), payload.find("\"events\""));
-  EXPECT_LT(payload.find("\"events\""), payload.find("\"metrics\""));
-  EXPECT_LT(payload.find("\"metrics\""), payload.find("\"obs\""));
-  EXPECT_LT(payload.find("\"obs\""), payload.find("\"ok\""));
-  EXPECT_LT(payload.find("\"ok\""), payload.find("\"trace_dropped\""));
+  record.metrics.metrics = {{"b", 2.0}, {"a", 1.0}};
+  EXPECT_EQ(record_json(record), R"({"events":0,"metrics":{"a":1,"b":2},"obs":{},"ok":true})");
 }
 
 TEST(RecordJson, MalformedPayloadsThrow) {
   EXPECT_THROW((void)parse_record_json("not json"), std::invalid_argument);
   EXPECT_THROW((void)parse_record_json("{}"), std::invalid_argument);
-  EXPECT_THROW((void)parse_record_json(R"({"ok":true,"attempts":1})"), std::invalid_argument);
+  EXPECT_THROW((void)parse_record_json(R"({"ok":true})"), std::invalid_argument);
+  EXPECT_THROW((void)parse_record_json(R"({"ok":false})"), std::invalid_argument);
+}
+
+// The record is a pure outcome: the same spec computed twice at the
+// full obs level (scheduler profiler on) serializes to the same bytes,
+// so a cached full-level payload never replays another run's host
+// timings.
+TEST(RecordJson, FullObsRecordIsReproducible) {
+  experiments::ExperimentConfig cfg;
+  cfg.seeds = {1};
+  cfg.warmup = sim::Time::ms(50);
+  cfg.measure = sim::Time::ms(200);
+  cfg.obs_level = obs::ObsLevel::kFull;
+  const auto def = experiments::fig2_campaign(cfg);
+  const auto spec = def.plan.expand().front();
+
+  campaign::RunRecord first;
+  first.ok = true;
+  first.metrics = def.run(spec);
+  campaign::RunRecord second;
+  second.ok = true;
+  second.metrics = def.run(spec);
+
+  ASSERT_TRUE(first.metrics.obs.contains("scheduler.count_by_label.mac.slot"));
+  EXPECT_EQ(record_json(first), record_json(second));
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ class ServiceTest : public ::testing::Test {
 
 TEST_F(ServiceTest, ColdThenWarmSubmitIsByteIdentical) {
   cache::ResultCache cache{{root_.string(), "", 0, 0}};
-  const CampaignService service{{2, 2, &cache}};
+  const CampaignService service{{2, &cache}};
 
   const auto cold = service.submit(tiny_request());
   ASSERT_EQ(cold.result.runs.size(), 8u);  // fig2: 4 points x 2 seeds
@@ -63,7 +63,7 @@ TEST_F(ServiceTest, ColdThenWarmSubmitIsByteIdentical) {
 
 TEST_F(ServiceTest, ChangedParametersMissTheCache) {
   cache::ResultCache cache{{root_.string(), "", 0, 0}};
-  const CampaignService service{{2, 2, &cache}};
+  const CampaignService service{{2, &cache}};
   (void)service.submit(tiny_request());
 
   auto longer = tiny_request();
@@ -75,7 +75,7 @@ TEST_F(ServiceTest, ChangedParametersMissTheCache) {
 
 TEST_F(ServiceTest, OverlappingSeedSetsHitPartially) {
   cache::ResultCache cache{{root_.string(), "", 0, 0}};
-  const CampaignService service{{2, 2, &cache}};
+  const CampaignService service{{2, &cache}};
   (void)service.submit(tiny_request());  // seeds {1,2}
 
   auto wider = tiny_request();
@@ -86,7 +86,7 @@ TEST_F(ServiceTest, OverlappingSeedSetsHitPartially) {
 }
 
 TEST_F(ServiceTest, NoCacheRunsEverySubmitCold) {
-  const CampaignService service{{2, 2, nullptr}};
+  const CampaignService service{{2, nullptr}};
   const auto a = service.submit(tiny_request());
   const auto b = service.submit(tiny_request());
   EXPECT_EQ(a.cache_hits, 0u);
@@ -100,7 +100,7 @@ TEST_F(ServiceTest, NoCacheRunsEverySubmitCold) {
 
 TEST_F(ServiceTest, TelemetryObservesOnlyCacheMisses) {
   cache::ResultCache cache{{root_.string(), "", 0, 0}};
-  const CampaignService service{{1, 2, &cache}};
+  const CampaignService service{{1, &cache}};
   (void)service.submit(tiny_request());
 
   std::ostringstream out;
@@ -135,7 +135,7 @@ TEST_F(ServiceTest, MetricsAccountEngineRunsAndCacheServes) {
 
 TEST_F(ServiceTest, RequestTraceTouchesEveryServicePhase) {
   cache::ResultCache cache{{root_.string(), "", 0, 0}};
-  const CampaignService service{{2, 2, &cache}};
+  const CampaignService service{{2, &cache}};
 
   obs::svc::RequestTrace cold_trace{"r-1", "submit"};
   (void)service.submit(tiny_request(), nullptr, &cold_trace);
@@ -157,7 +157,7 @@ TEST_F(ServiceTest, RequestTraceTouchesEveryServicePhase) {
 }
 
 TEST_F(ServiceTest, UnknownGridThrowsListingNames) {
-  const CampaignService service{{1, 2, nullptr}};
+  const CampaignService service{{1, nullptr}};
   auto req = tiny_request();
   req.grid = "nope";
   try {

@@ -16,10 +16,10 @@
 //                [--spacing M] [--flows N] [--flow-kbps K]
 //   adhocsim campaign --grid fig2|rates|fig3|fig7|fig9|fig11|fig12|saturation|faults|manet_sweep
 //                     [--jobs N] [--seeds N] [--seconds S] [--obs-level L]
-//                     [--telemetry PATH|-] [--retries R] [--shard I --shards N]
+//                     [--telemetry PATH|-] [--shard I --shards N]
 //                     [--fault-plan NAME|FILE|SPEC] [--scorecard DIR]
 //   adhocsim serve --socket PATH [--cache DIR] [--cache-entries N]
-//                  [--cache-mb M] [--jobs N] [--retries R] [--quiet]
+//                  [--cache-mb M] [--jobs N] [--quiet]
 //                  [--log-format text|json] [--shutdown-grace-ms MS]
 //                  [--flight-requests N] [--flight-errors K]
 //                  [--flight-dump PATH]
@@ -350,7 +350,6 @@ int cmd_campaign(const tools::CliArgs& args) {
 
   campaign::EngineConfig ec;
   ec.jobs = args.has("jobs") ? static_cast<unsigned>(args.positive_integer("jobs", 1)) : 0;
-  ec.max_attempts = 1 + static_cast<unsigned>(args.integer("retries", 2));
   std::unique_ptr<campaign::JsonlSink> sink;
   if (telemetry == "-") {
     sink = std::make_unique<campaign::JsonlSink>(std::cout);
@@ -416,8 +415,7 @@ int cmd_campaign(const tools::CliArgs& args) {
   for (const auto& r : result.runs) {
     if (!r.ok) {
       std::cout << "  run " << r.spec.run_index << " (point " << r.spec.point_index << ", seed "
-                << r.spec.seed << ") failed after " << r.attempts
-                << " attempt(s): " << r.error.message << '\n';
+                << r.spec.seed << ") failed: " << r.error << '\n';
     }
   }
 
@@ -476,9 +474,7 @@ int cmd_serve(const tools::CliArgs& args) {
   serve::ServerConfig sc;
   sc.socket_path = socket_path;
   sc.service.jobs = args.has("jobs") ? static_cast<unsigned>(args.positive_integer("jobs", 1)) : 0;
-  sc.service.retries = static_cast<unsigned>(args.integer("retries", 2));
   sc.service.cache = result_cache.get();
-  sc.service.metrics = &telemetry.metrics;
   sc.log = &logger;
   sc.telemetry = &telemetry;
   sc.shutdown_grace_ms = static_cast<unsigned>(args.positive_integer("shutdown-grace-ms", 5000));
@@ -643,11 +639,11 @@ void usage() {
       "      [--flows N] [--flow-kbps K]\n"
       "  campaign --grid fig2|rates|fig3|fig7|fig9|fig11|fig12|saturation|faults\n"
       "           |manet_sweep\n"
-      "           [--jobs N] [--telemetry PATH|-] [--retries R] [--obs-level L]\n"
+      "           [--jobs N] [--telemetry PATH|-] [--obs-level L]\n"
       "           [--shard I --shards N] [--scorecard DIR]\n"
       "                                    parallel sweep + JSONL telemetry\n"
       "  serve --socket PATH [--cache DIR] [--cache-entries N] [--cache-mb M]\n"
-      "        [--jobs N] [--retries R] [--quiet] [--log-format text|json]\n"
+      "        [--jobs N] [--quiet] [--log-format text|json]\n"
       "        [--shutdown-grace-ms MS] [--flight-requests N] [--flight-errors K]\n"
       "        [--flight-dump PATH]\n"
       "                                    campaign daemon + result cache;\n"
