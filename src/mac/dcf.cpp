@@ -71,15 +71,28 @@ void Dcf::set_nav(sim::Time until) {
     try_begin_access();
   }, "mac.nav");
   // Virtual carrier sense interrupts any DIFS wait / backoff countdown.
-  cancel_access_timers();
+  cancel_access_timers(/*count_boundary_slot=*/false);
 }
 
 // ------------------------------------------------------------ access engine
 
-void Dcf::cancel_access_timers() {
+int Dcf::slots_elapsed(bool count_boundary_slot) const {
+  const std::int64_t elapsed = (sim_.now() - countdown_start_).count_ns();
+  // Without the boundary slot, an instant exactly on boundary k still
+  // lies in slot k; elsewhere both rules agree.
+  return static_cast<int>((count_boundary_slot ? elapsed : elapsed - 1) /
+                          params_.timing.slot.count_ns());
+}
+
+int Dcf::backoff_slots() const {
+  return slot_timer_ == sim::kInvalidEvent ? backoff_slots_
+                                           : backoff_slots_ - slots_elapsed(true);
+}
+
+void Dcf::cancel_access_timers(bool count_boundary_slot) {
   sim_.cancel(defer_timer_);
   defer_timer_ = sim::kInvalidEvent;
-  sim_.cancel(slot_timer_);
+  if (sim_.cancel(slot_timer_)) backoff_slots_ -= slots_elapsed(count_boundary_slot);
   slot_timer_ = sim::kInvalidEvent;
 }
 
@@ -92,7 +105,7 @@ void Dcf::try_begin_access() {
   }
   state_ = State::kContending;
   if (medium_busy()) {
-    cancel_access_timers();
+    cancel_access_timers(/*count_boundary_slot=*/true);
     return;  // resumed by the CCA-idle edge or the NAV timer
   }
   if (defer_timer_ != sim::kInvalidEvent || slot_timer_ != sim::kInvalidEvent) return;
@@ -107,33 +120,18 @@ void Dcf::try_begin_access() {
 void Dcf::on_defer_end() {
   eifs_pending_ = false;
   if (medium_busy()) return;  // raced with a busy edge; that edge re-arms us
-  if (backoff_slots_ < 0) {
-    // Medium was idle for a full DIFS with no backoff pending: the
-    // standard allows immediate transmission.
-    transmit_current();
-    return;
-  }
-  if (backoff_slots_ == 0) {
-    transmit_current();
-    return;
-  }
-  slot_timer_ = sim_.after(params_.timing.slot, [this] {
-    slot_timer_ = sim::kInvalidEvent;
-    on_backoff_slot();
-  }, "mac.slot");
-}
-
-void Dcf::on_backoff_slot() {
-  if (medium_busy()) return;
-  --backoff_slots_;
   if (backoff_slots_ <= 0) {
-    backoff_slots_ = 0;
+    // The countdown is done, or the medium was idle for a full DIFS with
+    // no backoff pending: the standard allows immediate transmission.
     transmit_current();
     return;
   }
-  slot_timer_ = sim_.after(params_.timing.slot, [this] {
+  // One event for the whole countdown; a freeze on the way cancels it
+  // and keeps the slots that elapsed idle (cancel_access_timers).
+  countdown_start_ = sim_.now();
+  slot_timer_ = sim_.after(params_.timing.slot * backoff_slots_, [this] {
     slot_timer_ = sim::kInvalidEvent;
-    on_backoff_slot();
+    transmit_current();
   }, "mac.slot");
 }
 
@@ -319,7 +317,8 @@ void Dcf::finish_current(bool success) {
 
 void Dcf::on_cca(bool busy) {
   if (busy) {
-    cancel_access_timers();
+    // A propagated edge counts the slot it lands on; a power-off does not.
+    cancel_access_timers(/*count_boundary_slot=*/radio_.enabled());
   } else {
     try_begin_access();
   }
@@ -360,7 +359,7 @@ void Dcf::on_rx_error() {
   // EIFS: the frame was detected but not understood; a SIFS response to it
   // may follow, which we must not trample (standard 9.2.3.4).
   eifs_pending_ = true;
-  cancel_access_timers();
+  cancel_access_timers(/*count_boundary_slot=*/false);
   try_begin_access();
 }
 
@@ -394,7 +393,7 @@ void Dcf::handle_data(const Frame& f) {
     ack.dst = f.src;
     ack.src = address_;
     ack.duration = sim::Time::zero();
-    schedule_response(ack, /*is_ack=*/true);
+    schedule_response(ack);
   }
 
   // Unfragmented fast path.
@@ -481,7 +480,7 @@ void Dcf::handle_rts(const Frame& f) {
   cts.src = address_;
   cts.duration =
       nav_for_cts_reply(f.duration, params_.timing, params_.control_rate, params_.preamble);
-  schedule_response(cts, /*is_ack=*/false);
+  schedule_response(cts);
 }
 
 void Dcf::handle_cts(const Frame& f) {
@@ -531,7 +530,7 @@ void Dcf::advance_fragment() {
   }, "mac.sifs");
 }
 
-void Dcf::schedule_response(Frame response, bool is_ack) {
+void Dcf::schedule_response(const Frame& response) {
   // A station mid-exchange (waiting for its own CTS/ACK, or already
   // responding) cannot turn around a second SIFS response.
   if (state_ != State::kIdle && state_ != State::kContending) {
@@ -542,33 +541,38 @@ void Dcf::schedule_response(Frame response, bool is_ack) {
     ++counters_.responses_suppressed;
     return;
   }
-  cancel_access_timers();
-  response_timer_ = sim_.after(
-      params_.timing.sifs,
-      [this, response, is_ack] {
-        response_timer_ = sim::kInvalidEvent;
-        if (radio_.transmitting()) {
-          ++counters_.responses_suppressed;
-          try_begin_access();
-          return;
-        }
-        if (is_ack && params_.ack_requires_idle_medium && radio_.cca_busy()) {
-          ++counters_.acks_suppressed_busy;
-          try_begin_access();
-          return;
-        }
-        auto wire = std::make_shared<Frame>(response);
-        if (is_ack) {
-          ++counters_.tx_ack;
-        } else {
-          ++counters_.tx_cts;
-        }
-        trace(obs::EventKind::kMacTxStart, *wire);
-        state_ = State::kResponding;
-        radio_.start_tx(
-            phy::TxDescriptor{params_.control_rate, wire->psdu_bits(), params_.preamble, wire});
-      },
-      "mac.response");
+  cancel_access_timers(/*count_boundary_slot=*/false);
+  response_ = response;
+  auto fire = [this] {
+    response_timer_ = sim::kInvalidEvent;
+    send_response();
+  };
+  static_assert(sizeof(fire) <= sim::Scheduler::kInlineBytes);
+  response_timer_ = sim_.after(params_.timing.sifs, fire, "mac.response");
+}
+
+void Dcf::send_response() {
+  const bool is_ack = response_.type == FrameType::kAck;
+  if (radio_.transmitting()) {
+    ++counters_.responses_suppressed;
+    try_begin_access();
+    return;
+  }
+  if (is_ack && params_.ack_requires_idle_medium && radio_.cca_busy()) {
+    ++counters_.acks_suppressed_busy;
+    try_begin_access();
+    return;
+  }
+  auto wire = std::make_shared<Frame>(response_);
+  if (is_ack) {
+    ++counters_.tx_ack;
+  } else {
+    ++counters_.tx_cts;
+  }
+  trace(obs::EventKind::kMacTxStart, *wire);
+  state_ = State::kResponding;
+  radio_.start_tx(
+      phy::TxDescriptor{params_.control_rate, wire->psdu_bits(), params_.preamble, wire});
 }
 
 std::ostream& operator<<(std::ostream& os, const MacCounters& c) {

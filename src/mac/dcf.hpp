@@ -14,6 +14,27 @@
 //  * a responder can be configured to withhold the MAC ACK while it
 //    senses the medium busy (observed card behaviour — the paper uses it
 //    to explain the exposed-receiver starvation under basic access).
+//
+// Backoff countdown: one `mac.slot` event per uninterrupted countdown.
+// When the DIFS/EIFS wait ends, the countdown starts and one event is
+// scheduled backoff_slots × slot ahead; it transmits. Anything that
+// freezes the countdown (a CCA busy edge, a NAV update, EIFS after a
+// receive error, a SIFS response, power-off) cancels that event and
+// keeps only the whole slots elapsed since the start: a slot counts only
+// if the medium was idle from its start to its end. The result matches
+// a countdown with one event per slot, including a freeze that lands
+// exactly on slot boundary k, where that model's order of same-instant
+// events decides:
+//  * a propagated busy edge (signal or interference start) is scheduled
+//    less than a slot ahead, after boundary k's slot event, so slot k
+//    counts;
+//  * a power-off fault is scheduled at plan time, and a received frame's
+//    end (NAV, EIFS, SIFS response) at least an airtime ahead, both
+//    before boundary k's slot event, so slot k does not count. (A
+//    reception holds CCA busy, so in the full stack its end never meets
+//    a running countdown; tests that drive the Dcf directly can.)
+// Countdowns of different stations that end in the same nanosecond run
+// in the order they started.
 
 #include <deque>
 #include <functional>
@@ -98,6 +119,8 @@ class Dcf final : public phy::RadioListener {
   [[nodiscard]] std::size_t queue_length() const { return queue_.size(); }
   [[nodiscard]] sim::Time nav_until() const { return nav_until_; }
   [[nodiscard]] std::uint32_t current_cw() const { return cw_; }
+  /// Backoff slots still to count down (-1: none pending).
+  [[nodiscard]] int backoff_slots() const;
 
   // phy::RadioListener
   void on_cca(bool busy) override;
@@ -144,9 +167,13 @@ class Dcf final : public phy::RadioListener {
 
   // --- access engine ---------------------------------------------------
   void try_begin_access();
-  void cancel_access_timers();
+  /// Stop the DIFS/EIFS wait and freeze the backoff countdown, keeping
+  /// the slots that elapsed idle. `count_boundary_slot` decides a freeze
+  /// exactly on a slot boundary (see the file comment).
+  void cancel_access_timers(bool count_boundary_slot);
+  /// Whole slots since the running countdown started.
+  [[nodiscard]] int slots_elapsed(bool count_boundary_slot) const;
   void on_defer_end();
-  void on_backoff_slot();
   void draw_backoff();
   void transmit_current();
 
@@ -167,7 +194,8 @@ class Dcf final : public phy::RadioListener {
   void handle_rts(const Frame& f);
   void handle_cts(const Frame& f);
   void handle_ack(const Frame& f);
-  void schedule_response(Frame response, bool is_ack);
+  void schedule_response(const Frame& response);
+  void send_response();
 
   [[nodiscard]] sim::Time cts_timeout() const;
   [[nodiscard]] sim::Time ack_timeout() const;
@@ -183,6 +211,7 @@ class Dcf final : public phy::RadioListener {
 
   std::uint32_t cw_;
   int backoff_slots_ = -1;  // -1: no backoff pending (first access may skip it)
+  sim::Time countdown_start_ = sim::Time::zero();  // while slot_timer_ is pending
   bool eifs_pending_ = false;
 
   sim::Time nav_until_ = sim::Time::zero();
@@ -191,6 +220,7 @@ class Dcf final : public phy::RadioListener {
   sim::EventId nav_timer_ = sim::kInvalidEvent;
   sim::EventId timeout_timer_ = sim::kInvalidEvent;
   sim::EventId response_timer_ = sim::kInvalidEvent;
+  Frame response_;  // the CTS or ACK response_timer_ sends
   sim::EventId sifs_data_timer_ = sim::kInvalidEvent;
 
   std::uint16_t next_seq_ = 0;

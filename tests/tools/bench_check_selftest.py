@@ -11,6 +11,8 @@ and the drift class named in the table:
   * a worsening deviation from the paper fails as paper-dev drift;
   * near-zero cells compare on an absolute tolerance;
   * a missing cell fails, a new cell only informs;
+  * counters.events rising more than 1% fails as work drift, a fall
+    only informs, and an absent counter skips the check;
   * an events_per_sec drop fails unless waived, and a small dip passes;
   * --no-perf and an absent sidecar skip perf silently;
   * a document that is not a scorecard, a malformed cell or a malformed
@@ -41,6 +43,11 @@ def scorecard(*cells) -> dict:
             doc["paper"] = cell[2]
         out.append(doc)
     return {"bench": "x", "cells": out}
+
+
+def with_events(card: dict, events) -> dict:
+    """`card` with counters.events set."""
+    return {**card, "counters": {"events": events, "runs_ok": 1}}
 
 
 def perf(events_per_sec: float, wall_ms: float) -> dict:
@@ -128,6 +135,25 @@ def main() -> int:
         t.check("a new cell alone only informs",
                 scorecard(("kept", 1.0)), scorecard(("kept", 1.0), ("added", 3.0)), 0,
                 verdicts={"x:added": "info"}, must_not=("FAIL",))
+
+        # --- work ----------------------------------------------------------
+        card = scorecard(("c", 1.0))
+        t.check("equal event counts are clean",
+                with_events(card, 1000), with_events(card, 1000), 0,
+                must=("work ok", "-> ok"), must_not=("| work",))
+        t.check("a 2% events rise fails as work drift while fidelity holds",
+                with_events(card, 1000), with_events(card, 1020), 1,
+                must=("rose 2.0%", "fidelity ok", "work DRIFT"),
+                verdicts={"x:counters.events": "FAIL"})
+        t.check("a 1% events rise stays inside the gate",
+                with_events(card, 1000), with_events(card, 1010), 0, must_not=("FAIL",))
+        t.check("an events fall only informs",
+                with_events(card, 1000), with_events(card, 600), 0,
+                must=("fell 40.0%", "work ok"), verdicts={"x:counters.events": "info"})
+        t.check("an absent events counter skips the work check",
+                with_events(card, 1000), card, 0, must_not=("| work",))
+        t.check("a non-numeric events counter exits 2", card, with_events(card, "many"), 2,
+                must=("cur/BENCH_x.json: 'counters.events' is not a number",))
 
         # --- perf ----------------------------------------------------------
         card = scorecard(("c", 1.0))

@@ -10,6 +10,11 @@ drift gate: CI, local runs and the smoke tests all call it.
              worsen by more than --dev-tol absolute points. Cells that
              disappear fail; new cells are reported but pass (refresh
              the baseline to adopt them).
+  work       the scorecard's counters.events (scheduler events over
+             every run, a pure function of the seeds) may not rise by
+             more than 1%; a fall is reported but passes (refresh the
+             baseline to adopt it). Skipped when either side has no
+             counter.
   perf       events_per_sec (from the BENCH_*.perf.json sidecar) may
              not drop by more than --perf-tol, and wall_ms may not rise
              by the mirrored factor. Perf drift is waivable per bench
@@ -52,6 +57,17 @@ def load_json(path: pathlib.Path):
 
 def is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def event_count(doc, path: pathlib.Path):
+    """A scorecard's counters.events, or None when it has none."""
+    counters = doc.get("counters", {})
+    if not isinstance(counters, dict):
+        die(f"{path}: 'counters' is not an object")
+    events = counters.get("events")
+    if events is not None and not is_number(events):
+        die(f"{path}: 'counters.events' is not a number")
+    return events
 
 
 def cells_by_id(doc, path: pathlib.Path):
@@ -100,6 +116,7 @@ class Drifts:
     def __init__(self):
         self.rows = []
         self.fidelity_failed = False
+        self.work_failed = False
         self.perf_failed = False
 
     def add(self, kind, bench, cell, baseline, current, failing, note):
@@ -107,6 +124,8 @@ class Drifts:
         if failing:
             if kind == "perf":
                 self.perf_failed = True
+            elif kind == "work":
+                self.work_failed = True
             else:
                 self.fidelity_failed = True
 
@@ -151,6 +170,23 @@ def check_fidelity(bench, base_doc, cur_doc, base_path, cur_path, opt, drifts):
             drifts.add("new-cell", bench, cell_id, 0.0, cur["sim"], False,
                        "new cell (refresh the baseline to adopt it)")
     return compared
+
+
+WORK_TOL = 0.01
+
+
+def check_work(bench, base_doc, cur_doc, base_path, cur_path, drifts):
+    base = event_count(base_doc, base_path)
+    cur = event_count(cur_doc, cur_path)
+    if base is None or cur is None or cur == base:
+        return
+    change = (cur - base) / max(base, 1)
+    if change > WORK_TOL:
+        drifts.add("work", bench, "counters.events", base, cur, True,
+                   f"events rose {change * 100:.1f}%")
+    elif change < 0:
+        drifts.add("work", bench, "counters.events", base, cur, False,
+                   f"events fell {-change * 100:.1f}% (refresh the baseline to adopt it)")
 
 
 def check_perf(bench, base_path, cur_path, opt, drifts):
@@ -243,8 +279,9 @@ def main() -> None:
                        f"{cur_path} was not produced")
             continue
         benches += 1
-        cells += check_fidelity(name, load_json(base_path), load_json(cur_path),
-                                base_path, cur_path, args, drifts)
+        base_doc, cur_doc = load_json(base_path), load_json(cur_path)
+        cells += check_fidelity(name, base_doc, cur_doc, base_path, cur_path, args, drifts)
+        check_work(name, base_doc, cur_doc, base_path, cur_path, drifts)
         if not args.no_perf:
             before = drifts.perf_failed
             drifts.perf_failed = False
@@ -262,9 +299,11 @@ def main() -> None:
         print("bench_check: perf drift detected but --perf-warn-only is set")
     for waived in waived_perf_failures:
         print(f"bench_check: perf drift waived for {waived}")
-    verdict = "DRIFT" if (drifts.fidelity_failed or perf_failed) else "ok"
+    failed = drifts.fidelity_failed or drifts.work_failed or perf_failed
+    verdict = "DRIFT" if failed else "ok"
     print(f"bench_check: {benches} bench(es), {cells} cells compared, "
           f"fidelity {'DRIFT' if drifts.fidelity_failed else 'ok'}, "
+          f"work {'DRIFT' if drifts.work_failed else 'ok'}, "
           f"perf {'DRIFT' if perf_failed else 'ok'} -> {verdict}")
     sys.exit(1 if verdict == "DRIFT" else 0)
 
