@@ -134,31 +134,6 @@ void BM_FullStackUdpSecondObserved(benchmark::State& state) {
 }
 BENCHMARK(BM_FullStackUdpSecondObserved)->Unit(benchmark::kMillisecond);
 
-void BM_FullStackUdpSecondJourneys(benchmark::State& state) {
-  // Same workload with journey recording on top of full observability:
-  // the delta against BM_FullStackUdpSecondObserved is the causal
-  // packet-journey tracing cost (span bookkeeping + per-attempt phase
-  // accounting + ledger).
-  std::uint64_t minted = 0;
-  for (auto _ : state) {
-    obs::RunObserver observer{obs::ObsLevel::kJourneys};
-    sim::Simulator sim{1};
-    scenario::Network net{sim};
-    net.attach_observer(observer);
-    net.add_node({0, 0});
-    net.add_node({10, 0});
-    scenario::RunConfig rc;
-    rc.warmup = sim::Time::ms(100);
-    rc.measure = sim::Time::ms(900);
-    const auto r = scenario::run_sessions(net, {{0, 1, scenario::Transport::kUdp}}, rc);
-    observer.finalize(sim);
-    minted = observer.journeys()->ledger().minted;
-    benchmark::DoNotOptimize(r.sessions[0].bytes);
-  }
-  state.counters["journeys"] = static_cast<double>(minted);
-}
-BENCHMARK(BM_FullStackUdpSecondJourneys)->Unit(benchmark::kMillisecond);
-
 void BM_FullStackTcpSecond(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim{1};
@@ -229,40 +204,6 @@ int emit_scorecard(const adhoc::bench::BenchOptions& opt,
     const auto r = scenario::run_sessions(net, {{0, 1, scenario::Transport::kUdp}}, rc);
     card.add_cell("udp_bytes_1s/seed=" + std::to_string(seed),
                   static_cast<double>(r.sessions[0].bytes), std::nullopt, "B");
-  }
-  {
-    // Journeys-on vs journeys-off overhead for the same one-second
-    // workload. Wall-clock numbers, so perf sidecar only — the
-    // fidelity file stays byte-stable.
-    const auto run_once = [](obs::RunObserver* observer) {
-      sim::Simulator sim{1};
-      scenario::Network net{sim};
-      if (observer != nullptr) net.attach_observer(*observer);
-      net.add_node({0, 0});
-      net.add_node({10, 0});
-      scenario::RunConfig rc;
-      rc.warmup = sim::Time::ms(100);
-      rc.measure = sim::Time::ms(900);
-      const auto r = scenario::run_sessions(net, {{0, 1, scenario::Transport::kUdp}}, rc);
-      if (observer != nullptr) observer->finalize(sim);
-      return r.sessions[0].bytes;
-    };
-    const bench::WallTimer off_timer;
-    const std::uint64_t off_bytes = run_once(nullptr);
-    const double off_ms = off_timer.elapsed_ms();
-    obs::RunObserver observer{obs::ObsLevel::kJourneys};
-    const bench::WallTimer on_timer;
-    const std::uint64_t on_bytes = run_once(&observer);
-    const double on_ms = on_timer.elapsed_ms();
-    if (on_bytes != off_bytes) {
-      // Journey recording must never perturb the simulation.
-      return 1;
-    }
-    card.set_perf("journeys_off_ms", off_ms);
-    card.set_perf("journeys_on_ms", on_ms);
-    if (off_ms > 0.0) {
-      card.set_perf("journeys_overhead_pct", (on_ms / off_ms - 1.0) * 100.0);
-    }
   }
   return adhoc::bench::finish_bench(card, opt, timer);
 }

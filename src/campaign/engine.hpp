@@ -58,7 +58,7 @@ class CampaignEngine {
 
   /// Run an explicit spec list (any subset/order of an expansion) under
   /// a campaign name. Records come back in the order of `specs` — the
-  /// serve layer schedules cache misses through this, then reassembles
+  /// serve layer schedules cache misses through this, then rebuilds the
   /// full expansion order around the cached hits.
   [[nodiscard]] CampaignResult run_list(const std::string& name, std::vector<RunSpec> specs,
                                         const RunFn& fn) const;

@@ -27,10 +27,6 @@ struct MacCounters {
   std::uint64_t cts_withheld_nav = 0;      // CTS withheld: NAV busy (standard)
   std::uint64_t responses_suppressed = 0;  // SIFS response impossible (own exchange)
 
-  std::uint64_t msdu_fragmented = 0;     // MSDUs sent as fragment bursts
-  std::uint64_t fragments_tx = 0;        // fragment transmissions (subset of tx_data)
-  std::uint64_t reassembly_drops = 0;    // fragment sequences abandoned at rx
-
   std::uint64_t rx_errors = 0;           // undecodable receptions -> EIFS
   std::uint64_t nav_updates = 0;
   std::uint64_t backoff_draws = 0;

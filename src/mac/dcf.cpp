@@ -44,8 +44,7 @@ bool Dcf::enqueue(MacAddress dst, std::shared_ptr<const void> sdu, std::uint32_t
     return false;  // the caller attributes the tagged journey's drop
   }
   ++counters_.msdu_enqueued;
-  queue_.push_back(QueueItem{dst, std::move(sdu), bytes, false, 0, 0, 0});
-  queue_.back().journey = journey;
+  queue_.push_back(QueueItem{dst, std::move(sdu), bytes, false, 0, 0, 0, journey});
   counters_.queue_high_water = std::max<std::uint64_t>(counters_.queue_high_water, queue_.size());
   if (journeys_ != nullptr && journey != 0) {
     journeys_->on_mac_enqueue(journey, radio_.id(), sim_.now());
@@ -159,16 +158,15 @@ void Dcf::transmit_current() {
   }
 
   const bool group = item.dst.is_group();
-  // RTS protects the (current) MPDU: the fragment size when fragmenting.
-  if (!group && params_.use_rts(current_fragment_bytes(item))) {
+  if (!group && params_.use_rts(item.bytes)) {
     const phy::Rate data_rate =
         rate_selector_ ? rate_selector_(item.dst) : params_.data_rate;
     auto rts = std::make_shared<Frame>();
     rts->type = FrameType::kRts;
     rts->dst = item.dst;
     rts->src = address_;
-    rts->duration = nav_for_rts(params_.timing, current_fragment_bytes(item), data_rate,
-                                params_.control_rate, params_.preamble);
+    rts->duration = nav_for_rts(params_.timing, item.bytes, data_rate, params_.control_rate,
+                                params_.preamble);
     ++counters_.tx_rts;
     trace(obs::EventKind::kMacTxStart, *rts);
     state_ = State::kTxRts;
@@ -179,47 +177,20 @@ void Dcf::transmit_current() {
   send_data_frame();
 }
 
-std::uint32_t Dcf::current_fragment_bytes(const QueueItem& item) const {
-  if (item.dst.is_group() || !params_.use_fragmentation(item.bytes)) return item.bytes;
-  return std::min(params_.fragmentation_threshold_bytes, item.bytes - item.frag_sent);
-}
-
 void Dcf::send_data_frame() {
   QueueItem& item = queue_.front();
   const bool group = item.dst.is_group();
-  const std::uint32_t frag_bytes = current_fragment_bytes(item);
-  const bool fragmented = frag_bytes != item.bytes || item.frag_index > 0;
-  const bool more = fragmented && item.frag_sent + frag_bytes < item.bytes;
 
   auto data = std::make_shared<Frame>();
   data->type = FrameType::kData;
   data->dst = item.dst;
   data->src = address_;
   data->seq = item.seq;
-  data->frag = item.frag_index;
-  data->more_fragments = more;
   data->retry = item.retries > 0;
   data->sdu = item.sdu;
-  data->sdu_bytes = frag_bytes;
-  if (group) {
-    data->duration = sim::Time::zero();
-  } else if (more) {
-    // Reserve through the next fragment's ACK (802.11 fragment burst).
-    const std::uint32_t next_bytes =
-        std::min(params_.fragmentation_threshold_bytes, item.bytes - item.frag_sent - frag_bytes);
-    const phy::Rate data_rate =
-        rate_selector_ ? rate_selector_(item.dst) : params_.data_rate;
-    data->duration = nav_for_data(params_.timing, params_.control_rate, params_.preamble) +
-                     params_.timing.sifs +
-                     data_airtime(params_.timing, next_bytes, data_rate, params_.preamble) +
-                     nav_for_data(params_.timing, params_.control_rate, params_.preamble);
-  } else {
-    data->duration = nav_for_data(params_.timing, params_.control_rate, params_.preamble);
-  }
-  if (fragmented) {
-    ++counters_.fragments_tx;
-    if (item.frag_index == 0 && item.retries == 0) ++counters_.msdu_fragmented;
-  }
+  data->sdu_bytes = item.bytes;
+  data->duration = group ? sim::Time::zero()
+                         : nav_for_data(params_.timing, params_.control_rate, params_.preamble);
   ++counters_.tx_data;
   ++item.transmissions;
   trace(obs::EventKind::kMacTxStart, *data);
@@ -258,7 +229,7 @@ void Dcf::on_exchange_timeout() {
   } else if (state_ == State::kWaitAck) {
     ++counters_.ack_timeouts;
     trace_queue_head(obs::EventKind::kMacAckTimeout);
-    exchange_failed(params_.use_rts(current_fragment_bytes(queue_.front())));
+    exchange_failed(params_.use_rts(queue_.front().bytes));
   }
 }
 
@@ -395,72 +366,16 @@ void Dcf::handle_data(const Frame& f) {
     ack.duration = sim::Time::zero();
     schedule_response(ack);
   }
-
-  // Unfragmented fast path.
-  if (f.frag == 0 && !f.more_fragments) {
-    if (!f.dst.is_group()) {
-      const auto it = last_rx_seq_.find(f.src);
-      if (f.retry && it != last_rx_seq_.end() && it->second == f.seq) {
-        ++counters_.rx_duplicates;
-        return;
-      }
-      last_rx_seq_[f.src] = f.seq;
-    }
-    ++counters_.msdu_delivered_up;
-    if (rx_handler_) rx_handler_(f.sdu, f.sdu_bytes, f.src, f.dst);
-    return;
-  }
-
-  // Fragment of a larger MSDU (unicast only: group frames never
-  // fragment). One reassembly in progress per source.
-  auto asm_it = reassembly_.find(f.src);
-  if (f.frag == 0) {
-    if (asm_it != reassembly_.end()) {
-      if (asm_it->second.seq == f.seq) {
-        ++counters_.rx_duplicates;  // retry of the burst's first fragment
-        return;
-      }
-      ++counters_.reassembly_drops;  // a previous burst never completed
-    }
-    reassembly_[f.src] = Reassembly{f.seq, 1, f.sdu_bytes, f.sdu};
-    return;  // more fragments follow by definition here
-  }
-
-  if (asm_it == reassembly_.end()) {
-    // No burst in progress: most likely a retransmitted final fragment
-    // whose MSDU we already delivered (our ACK was lost).
+  if (!f.dst.is_group()) {
     const auto it = last_rx_seq_.find(f.src);
-    if (it != last_rx_seq_.end() && it->second == f.seq) {
+    if (f.retry && it != last_rx_seq_.end() && it->second == f.seq) {
       ++counters_.rx_duplicates;
+      return;
     }
-    return;
+    last_rx_seq_[f.src] = f.seq;
   }
-  Reassembly& reasm = asm_it->second;
-  if (reasm.seq != f.seq) {
-    ++counters_.reassembly_drops;
-    reassembly_.erase(asm_it);
-    return;
-  }
-  if (f.frag < reasm.next_frag) {
-    ++counters_.rx_duplicates;  // retry of a fragment we hold
-    return;
-  }
-  if (f.frag > reasm.next_frag) {
-    ++counters_.reassembly_drops;  // hole: abandon the burst
-    reassembly_.erase(asm_it);
-    return;
-  }
-  reasm.bytes += f.sdu_bytes;
-  reasm.next_frag = static_cast<std::uint8_t>(reasm.next_frag + 1);
-  if (f.more_fragments) return;
-
-  // Final fragment: deliver the reassembled MSDU.
-  last_rx_seq_[f.src] = f.seq;
   ++counters_.msdu_delivered_up;
-  auto sdu = reasm.sdu;
-  const std::uint32_t total = reasm.bytes;
-  reassembly_.erase(asm_it);
-  if (rx_handler_) rx_handler_(std::move(sdu), total, f.src, f.dst);
+  if (rx_handler_) rx_handler_(f.sdu, f.sdu_bytes, f.src, f.dst);
 }
 
 void Dcf::handle_rts(const Frame& f) {
@@ -504,30 +419,8 @@ void Dcf::handle_ack(const Frame& f) {
     return;
   }
   if (state_ != State::kWaitAck) return;  // stale ACK
-  QueueItem& item = queue_.front();
-  if (attempt_handler_) attempt_handler_(item.dst, true);
-  const std::uint32_t frag_bytes = current_fragment_bytes(item);
-  if (item.frag_sent + frag_bytes < item.bytes) {
-    // Fragment acknowledged; burst continues after SIFS.
-    sim_.cancel(timeout_timer_);
-    timeout_timer_ = sim::kInvalidEvent;
-    advance_fragment();
-    return;
-  }
+  if (attempt_handler_) attempt_handler_(queue_.front().dst, true);
   exchange_succeeded();
-}
-
-void Dcf::advance_fragment() {
-  QueueItem& item = queue_.front();
-  item.frag_sent += current_fragment_bytes(item);
-  item.frag_index = static_cast<std::uint8_t>(item.frag_index + 1);
-  item.retries = 0;  // the retry budget applies per fragment
-  cw_ = params_.cw_min;
-  state_ = State::kSifsToData;
-  sifs_data_timer_ = sim_.after(params_.timing.sifs, [this] {
-    sifs_data_timer_ = sim::kInvalidEvent;
-    send_data_frame();
-  }, "mac.sifs");
 }
 
 void Dcf::schedule_response(const Frame& response) {

@@ -7,6 +7,8 @@
 //  * optional RTS/CTS exchange above a size threshold,
 //  * SIFS-spaced CTS/ACK responses, retransmission with CW doubling,
 //    retry limits, and duplicate filtering at the receiver.
+// Every MSDU is sent as a single MPDU: there is no fragmentation, so an
+// acknowledged data frame always completes its MSDU.
 //
 // Two behaviours called out by the paper are modelled explicitly:
 //  * a responder withholds its CTS when its NAV is busy (standard rule —
@@ -147,18 +149,8 @@ class Dcf final : public phy::RadioListener {
     bool seq_assigned = false;
     std::uint16_t seq = 0;
     std::uint32_t transmissions = 0;  // data attempts (for status/limits)
-    std::uint32_t retries = 0;        // failed attempts of the CURRENT fragment
-    std::uint32_t frag_sent = 0;      // bytes of this MSDU already acknowledged
-    std::uint8_t frag_index = 0;      // fragment currently in flight
+    std::uint32_t retries = 0;        // failed attempts so far
     std::uint64_t journey = 0;        // obs journey tag (0 = untracked)
-  };
-
-  /// Reassembly of one in-progress fragmented MSDU per source.
-  struct Reassembly {
-    std::uint16_t seq = 0;
-    std::uint8_t next_frag = 0;
-    std::uint32_t bytes = 0;
-    std::shared_ptr<const void> sdu;
   };
 
   // --- channel state ---------------------------------------------------
@@ -179,10 +171,6 @@ class Dcf final : public phy::RadioListener {
 
   // --- transmit pipeline ------------------------------------------------
   void send_data_frame();
-  /// Size of the fragment currently being sent for `item`.
-  [[nodiscard]] std::uint32_t current_fragment_bytes(const QueueItem& item) const;
-  /// Continue a fragment burst after the previous fragment's ACK.
-  void advance_fragment();
   void start_exchange_timeout(sim::Time timeout);
   void on_exchange_timeout();
   void exchange_failed(bool used_rts);
@@ -226,8 +214,6 @@ class Dcf final : public phy::RadioListener {
   std::uint16_t next_seq_ = 0;
   /// Duplicate filter: last sequence number delivered per source.
   std::unordered_map<MacAddress, std::uint16_t, MacAddressHash> last_rx_seq_;
-  /// Fragment reassembly state per source.
-  std::unordered_map<MacAddress, Reassembly, MacAddressHash> reassembly_;
 
   RxHandler rx_handler_;
   TxStatusHandler tx_status_handler_;

@@ -1,7 +1,5 @@
 #include "mac/frame.hpp"
 
-#include "mac/crc32.hpp"
-
 namespace adhoc::mac {
 
 std::uint32_t Frame::psdu_bits() const {
@@ -19,108 +17,6 @@ std::ostream& operator<<(std::ostream& os, const Frame& f) {
      << " dur=" << f.duration.to_us() << "us";
   if (f.type == FrameType::kData) os << " bytes=" << f.sdu_bytes;
   return os;
-}
-
-namespace {
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-std::uint16_t get_u16(std::span<const std::uint8_t> in, std::size_t off) {
-  return static_cast<std::uint16_t>(in[off] | (in[off + 1] << 8));
-}
-
-void put_addr(std::vector<std::uint8_t>& out, const MacAddress& a) {
-  out.insert(out.end(), a.octets().begin(), a.octets().end());
-}
-
-MacAddress get_addr(std::span<const std::uint8_t> in, std::size_t off) {
-  std::array<std::uint8_t, 6> o{};
-  for (std::size_t i = 0; i < 6; ++i) o[i] = in[off + i];
-  return MacAddress{o};
-}
-
-// Frame-control layout (simplified but stable): type in bits 2-3,
-// more-fragments in bit 10 and retry in bit 11 (as in real 802.11).
-std::uint16_t frame_control(const Frame& f) {
-  auto fc = static_cast<std::uint16_t>(static_cast<std::uint16_t>(f.type) << 2);
-  if (f.more_fragments) fc = static_cast<std::uint16_t>(fc | (1u << 10));
-  if (f.retry) fc = static_cast<std::uint16_t>(fc | (1u << 11));
-  return fc;
-}
-
-/// Duration field: microseconds, 16 bits, saturating (the standard caps
-/// the NAV at 32767 us).
-std::uint16_t duration_field(sim::Time d) {
-  const double us = d.to_us();
-  if (us <= 0) return 0;
-  if (us >= 32767.0) return 32767;
-  return static_cast<std::uint16_t>(us + 0.5);
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> serialize(const Frame& frame, std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
-  put_u16(out, frame_control(frame));
-  put_u16(out, duration_field(frame.duration));
-  put_addr(out, frame.dst);
-  if (frame.type == FrameType::kData || frame.type == FrameType::kRts) {
-    put_addr(out, frame.src);
-  }
-  if (frame.type == FrameType::kData) {
-    // Sequence control: 12-bit sequence number, 4-bit fragment number.
-    const auto seq_ctl = static_cast<std::uint16_t>(((frame.seq & 0x0fff) << 4) |
-                                                    (frame.frag & 0x0f));
-    put_u16(out, seq_ctl);
-    out.insert(out.end(), payload.begin(), payload.end());
-  }
-  const std::uint32_t fcs = crc32(out);
-  out.push_back(static_cast<std::uint8_t>(fcs & 0xff));
-  out.push_back(static_cast<std::uint8_t>((fcs >> 8) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((fcs >> 16) & 0xff));
-  out.push_back(static_cast<std::uint8_t>((fcs >> 24) & 0xff));
-  return out;
-}
-
-std::optional<ParsedFrame> parse(std::span<const std::uint8_t> wire) {
-  // Minimum: fc(2) + dur(2) + dst(6) + fcs(4).
-  if (wire.size() < 14) return std::nullopt;
-  const std::size_t body_len = wire.size() - 4;
-  std::uint32_t fcs = 0;
-  for (int i = 0; i < 4; ++i) {
-    fcs |= static_cast<std::uint32_t>(wire[body_len + static_cast<std::size_t>(i)])
-           << (8 * i);
-  }
-  if (crc32(wire.subspan(0, body_len)) != fcs) return std::nullopt;
-
-  ParsedFrame out;
-  const std::uint16_t fc = get_u16(wire, 0);
-  out.frame.type = static_cast<FrameType>((fc >> 2) & 0x3);
-  out.frame.more_fragments = (fc & (1u << 10)) != 0;
-  out.frame.retry = (fc & (1u << 11)) != 0;
-  out.frame.duration = sim::Time::from_us(get_u16(wire, 2));
-  out.frame.dst = get_addr(wire, 4);
-  std::size_t off = 10;
-  if (out.frame.type == FrameType::kData || out.frame.type == FrameType::kRts) {
-    if (body_len < off + 6) return std::nullopt;
-    out.frame.src = get_addr(wire, off);
-    off += 6;
-  }
-  if (out.frame.type == FrameType::kData) {
-    if (body_len < off + 2) return std::nullopt;
-    const std::uint16_t seq_ctl = get_u16(wire, off);
-    out.frame.seq = static_cast<std::uint16_t>((seq_ctl >> 4) & 0x0fff);
-    out.frame.frag = static_cast<std::uint8_t>(seq_ctl & 0x0f);
-    off += 2;
-    out.payload = wire.subspan(off, body_len - off);
-    out.frame.sdu_bytes = static_cast<std::uint32_t>(out.payload.size());
-  } else if (body_len != off) {
-    return std::nullopt;
-  }
-  return out;
 }
 
 }  // namespace adhoc::mac

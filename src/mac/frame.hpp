@@ -1,10 +1,10 @@
 #pragma once
 // 802.11 MAC frames as used by the DCF.
 //
-// The in-simulator representation is a plain struct (frames are passed by
-// shared_ptr through the PHY). A byte-level wire format with FCS is also
-// provided: it is not needed to simulate, but it pins down frame sizes,
-// allows golden tests, and makes the library usable as a frame codec.
+// A frame is a plain struct passed by shared_ptr through the PHY; it is
+// never encoded to bytes. Only its size matters on the air, and
+// psdu_bits() accounts for it. Every MSDU travels in one frame (no
+// fragmentation).
 //
 // Sizes follow the paper's Table 1: a data frame carries a 272-bit header
 // (MAC header + FCS, per the paper's footnote 3); RTS is 160 bits, CTS
@@ -12,10 +12,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <ostream>
-#include <span>
-#include <vector>
+#include <string_view>
 
 #include "mac/address.hpp"
 #include "phy/rates.hpp"
@@ -44,13 +42,8 @@ struct Frame {
   MacAddress src;
   /// NAV value: how long the medium stays reserved after this frame ends.
   sim::Time duration = sim::Time::zero();
-  /// Sequence number (data frames), 12 bits on the wire. All fragments
-  /// of one MSDU share the sequence number.
+  /// Sequence number (data frames), 12 bits as on the wire.
   std::uint16_t seq = 0;
-  /// Fragment number (4 bits on the wire).
-  std::uint8_t frag = 0;
-  /// More-fragments flag: further fragments of this MSDU follow.
-  bool more_fragments = false;
   /// Retry flag (data frames).
   bool retry = false;
   /// Upper-layer payload (data frames); opaque to the MAC.
@@ -68,21 +61,5 @@ struct Frame {
 };
 
 std::ostream& operator<<(std::ostream& os, const Frame& f);
-
-// --------------------------------------------------------------- wire codec
-
-/// Serialize `frame` (and, for data frames, `payload` — which must be
-/// sdu_bytes long) into a byte vector ending with a CRC-32 FCS.
-[[nodiscard]] std::vector<std::uint8_t> serialize(const Frame& frame,
-                                                  std::span<const std::uint8_t> payload = {});
-
-/// Parsed view of a wire frame. `payload` aliases the input buffer.
-struct ParsedFrame {
-  Frame frame;
-  std::span<const std::uint8_t> payload;
-};
-
-/// Parse and FCS-check a wire frame; nullopt if truncated or corrupt.
-[[nodiscard]] std::optional<ParsedFrame> parse(std::span<const std::uint8_t> wire);
 
 }  // namespace adhoc::mac

@@ -1,5 +1,6 @@
 #pragma once
-// DCF configuration.
+// DCF configuration. There is no fragmentation threshold: every MSDU
+// goes out as one MPDU, as in the paper's 512-byte workloads.
 
 #include <cstddef>
 #include <cstdint>
@@ -27,12 +28,6 @@ struct MacParams {
   /// 0 = always use RTS/CTS, large value = basic access only.
   std::uint32_t rts_threshold_bytes = 4000;
 
-  /// Unicast MSDUs larger than this are fragmented: a SIFS-separated
-  /// burst of fragments, each individually acknowledged, with the NAV of
-  /// every fragment reserving the medium through the next fragment's
-  /// ACK (IEEE 802.11 §9.1.4). Default: fragmentation off.
-  std::uint32_t fragmentation_threshold_bytes = 1u << 20;
-
   std::uint32_t short_retry_limit = 7;  ///< frames shorter than the RTS threshold
   std::uint32_t long_retry_limit = 4;   ///< frames sent with RTS protection
 
@@ -51,9 +46,6 @@ struct MacParams {
 
   [[nodiscard]] bool use_rts(std::uint32_t sdu_bytes) const {
     return sdu_bytes >= rts_threshold_bytes;
-  }
-  [[nodiscard]] bool use_fragmentation(std::uint32_t sdu_bytes) const {
-    return sdu_bytes > fragmentation_threshold_bytes;
   }
 };
 

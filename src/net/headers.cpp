@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "net/checksum.hpp"
-
 namespace adhoc::net {
 
 std::string Ipv4Address::to_string() const {
@@ -15,58 +13,10 @@ std::string Ipv4Address::to_string() const {
 
 std::ostream& operator<<(std::ostream& os, const Ipv4Address& a) { return os << a.to_string(); }
 
-std::array<std::uint8_t, Ipv4Header::kBytes> Ipv4Header::serialize() const {
-  std::array<std::uint8_t, kBytes> w{};
-  w[0] = 0x45;  // version 4, IHL 5
-  w[1] = 0;     // DSCP/ECN
-  w[2] = static_cast<std::uint8_t>(total_length >> 8);
-  w[3] = static_cast<std::uint8_t>(total_length & 0xff);
-  w[4] = static_cast<std::uint8_t>(identification >> 8);
-  w[5] = static_cast<std::uint8_t>(identification & 0xff);
-  w[6] = 0;  // flags/fragment offset
-  w[7] = 0;
-  w[8] = ttl;
-  w[9] = protocol;
-  // w[10], w[11]: checksum, zero for computation
-  const std::uint32_t s = src.value();
-  const std::uint32_t d = dst.value();
-  w[12] = static_cast<std::uint8_t>(s >> 24);
-  w[13] = static_cast<std::uint8_t>((s >> 16) & 0xff);
-  w[14] = static_cast<std::uint8_t>((s >> 8) & 0xff);
-  w[15] = static_cast<std::uint8_t>(s & 0xff);
-  w[16] = static_cast<std::uint8_t>(d >> 24);
-  w[17] = static_cast<std::uint8_t>((d >> 16) & 0xff);
-  w[18] = static_cast<std::uint8_t>((d >> 8) & 0xff);
-  w[19] = static_cast<std::uint8_t>(d & 0xff);
-  const std::uint16_t csum = internet_checksum(w);
-  w[10] = static_cast<std::uint8_t>(csum >> 8);
-  w[11] = static_cast<std::uint8_t>(csum & 0xff);
-  return w;
-}
-
-std::optional<Ipv4Header> Ipv4Header::parse(std::span<const std::uint8_t> wire) {
-  if (wire.size() < kBytes) return std::nullopt;
-  if (wire[0] != 0x45) return std::nullopt;  // only IHL=5, version 4
-  // A header with a valid checksum sums to zero including the stored one.
-  if (internet_checksum(wire.subspan(0, kBytes)) != 0) return std::nullopt;
-  Ipv4Header h;
-  h.total_length = static_cast<std::uint16_t>((wire[2] << 8) | wire[3]);
-  h.identification = static_cast<std::uint16_t>((wire[4] << 8) | wire[5]);
-  h.ttl = wire[8];
-  h.protocol = wire[9];
-  h.src = Ipv4Address{static_cast<std::uint32_t>((wire[12] << 24) | (wire[13] << 16) |
-                                                 (wire[14] << 8) | wire[15])};
-  h.dst = Ipv4Address{static_cast<std::uint32_t>((wire[16] << 24) | (wire[17] << 16) |
-                                                 (wire[18] << 8) | wire[19])};
-  return h;
-}
-
 std::ostream& operator<<(std::ostream& os, const TcpHeader& h) {
   os << "tcp " << h.src_port << "->" << h.dst_port << " seq=" << h.seq << " ack=" << h.ack << ' ';
   if (h.flags.syn) os << 'S';
   if (h.flags.ack) os << 'A';
-  if (h.flags.fin) os << 'F';
-  if (h.flags.rst) os << 'R';
   os << " win=" << h.window;
   return os;
 }

@@ -3,17 +3,13 @@
 //
 // The simulator accounts for header *bytes* exactly (they ride the air at
 // the MAC data rate, which is what the paper's Figure 1 overhead analysis
-// is about) while header *fields* are kept as plain structs. A byte-level
-// codec with real checksums is provided for the IPv4 header so the wire
-// format is pinned down and testable.
+// is about) while header *fields* are kept as plain structs. No header is
+// ever encoded to bytes, so there is no codec and no checksum.
 
-#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <ostream>
-#include <span>
 #include <string>
-#include <vector>
 
 namespace adhoc::net {
 
@@ -62,11 +58,6 @@ struct Ipv4Header {
   std::uint8_t ttl = 64;
   std::uint16_t total_length = 0;  // header + payload
   std::uint16_t identification = 0;
-
-  /// Serialize (big-endian, checksum filled in).
-  [[nodiscard]] std::array<std::uint8_t, kBytes> serialize() const;
-  /// Parse + verify checksum; nullopt when invalid.
-  [[nodiscard]] static std::optional<Ipv4Header> parse(std::span<const std::uint8_t> wire);
 };
 
 struct UdpHeader {
@@ -77,12 +68,11 @@ struct UdpHeader {
   std::uint16_t length = 0;  // header + payload
 };
 
-/// TCP flags as individual bools (serialized into the flags octet).
+/// The TCP flags the stack sets: connections open with SYN and never
+/// close, so FIN and RST do not exist here.
 struct TcpFlags {
   bool syn = false;
   bool ack = false;
-  bool fin = false;
-  bool rst = false;
 
   friend bool operator==(const TcpFlags&, const TcpFlags&) = default;
 };

@@ -3,11 +3,15 @@
 // label, and events/sec, collected through the sim::SchedulerProbe hook.
 // Attach via Scheduler::set_probe; detached (the default) the scheduler
 // pays a single null-pointer test per event.
+//
+// Labels are string literals, so the per-event path keys its table by
+// the label pointer and builds no string. register_in() folds the table
+// by label text: two call sites scheduling the same text count as one
+// label.
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <string_view>
+#include <vector>
 
 #include "sim/scheduler.hpp"
 
@@ -30,8 +34,6 @@ class SchedulerProfiler final : public sim::SchedulerProbe {
   [[nodiscard]] double events_per_sec() const {
     return wall_seconds_ > 0.0 ? static_cast<double>(events_) / wall_seconds_ : 0.0;
   }
-  [[nodiscard]] const std::map<std::string, LabelStats>& by_label() const { return by_label_; }
-
   /// Fold the profile into `reg`: component "scheduler" for the totals,
   /// "scheduler.wall_ms_by_label" / "scheduler.count_by_label" for the
   /// per-event-type breakdown.
@@ -42,9 +44,15 @@ class SchedulerProfiler final : public sim::SchedulerProbe {
   [[nodiscard]] static bool is_host_time_key(std::string_view key);
 
  private:
+  struct Entry {
+    const char* label = nullptr;  // nullptr: unlabeled events
+    LabelStats stats;
+  };
+
   std::uint64_t events_ = 0;
   double wall_seconds_ = 0.0;
-  std::map<std::string, LabelStats> by_label_;
+  /// One entry per distinct label pointer, in first-executed order.
+  std::vector<Entry> by_label_;
 };
 
 }  // namespace adhoc::obs

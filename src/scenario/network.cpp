@@ -31,9 +31,6 @@ constexpr MacField kMacFields[] = {
     {"acks_suppressed_busy", &mac::MacCounters::acks_suppressed_busy},
     {"cts_withheld_nav", &mac::MacCounters::cts_withheld_nav},
     {"responses_suppressed", &mac::MacCounters::responses_suppressed},
-    {"msdu_fragmented", &mac::MacCounters::msdu_fragmented},
-    {"fragments_tx", &mac::MacCounters::fragments_tx},
-    {"reassembly_drops", &mac::MacCounters::reassembly_drops},
     {"rx_errors", &mac::MacCounters::rx_errors},
     {"nav_updates", &mac::MacCounters::nav_updates},
     {"backoff_draws", &mac::MacCounters::backoff_draws},

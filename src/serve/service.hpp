@@ -8,7 +8,7 @@
 // (payload served verbatim) and misses (scheduled on a
 // campaign::CampaignEngine via run_list, which also collapses
 // duplicate specs before dispatch), stores every successful miss, and
-// reassembles the result in expansion order. Failed runs are never
+// puts the result back in expansion order. Failed runs are never
 // cached: a failure may come from the host (out of memory, say) rather
 // than from the key, so the next submit recomputes it.
 //

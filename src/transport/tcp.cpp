@@ -6,9 +6,6 @@
 namespace adhoc::transport {
 
 namespace {
-/// 2*MSL stand-in; short, since simulations span seconds.
-const sim::Time kTimeWait = sim::Time::ms(200);
-
 constexpr bool seq_lt(std::uint32_t a, std::uint32_t b) { return a < b; }
 constexpr bool seq_le(std::uint32_t a, std::uint32_t b) { return a <= b; }
 }  // namespace
@@ -19,11 +16,6 @@ std::string_view TcpConnection::state_name(State s) {
     case State::kSynSent: return "SYN_SENT";
     case State::kSynRcvd: return "SYN_RCVD";
     case State::kEstablished: return "ESTABLISHED";
-    case State::kFinWait1: return "FIN_WAIT_1";
-    case State::kFinWait2: return "FIN_WAIT_2";
-    case State::kCloseWait: return "CLOSE_WAIT";
-    case State::kLastAck: return "LAST_ACK";
-    case State::kTimeWait: return "TIME_WAIT";
   }
   return "?";
 }
@@ -53,10 +45,9 @@ void TcpConnection::trace_cwnd() {
 }
 
 std::uint64_t TcpConnection::bytes_acked() const {
-  // Exclude SYN (and FIN once acknowledged) from the count.
+  // Exclude the SYN from the count.
   std::uint64_t raw = snd_una_ - iss_;
-  if (raw > 0) raw -= 1;  // SYN
-  if (fin_sent_ && seq_lt(fin_seq_, snd_una_)) raw -= 1;
+  if (raw > 0) raw -= 1;
   return raw;
 }
 
@@ -84,12 +75,6 @@ void TcpConnection::set_infinite_source(bool on) {
   if (on && state_ == State::kEstablished) try_send();
 }
 
-void TcpConnection::close() {
-  if (fin_queued_) return;
-  fin_queued_ = true;
-  if (state_ == State::kEstablished || state_ == State::kCloseWait) maybe_send_fin();
-}
-
 // -------------------------------------------------------------- established
 
 void TcpConnection::enter_established() {
@@ -103,8 +88,6 @@ void TcpConnection::become_closed() {
   cancel_rto();
   sim_.cancel(delack_timer_);
   delack_timer_ = sim::kInvalidEvent;
-  sim_.cancel(timewait_timer_);
-  timewait_timer_ = sim::kInvalidEvent;
   state_ = State::kClosed;
   if (on_closed_) on_closed_();
 }
@@ -168,10 +151,7 @@ void TcpConnection::send_segment(std::uint32_t seq, std::uint32_t len, net::TcpF
 }
 
 void TcpConnection::try_send() {
-  if (state_ != State::kEstablished && state_ != State::kCloseWait &&
-      state_ != State::kFinWait1) {
-    return;
-  }
+  if (state_ != State::kEstablished) return;
   const std::uint32_t wnd = static_cast<std::uint32_t>(
       std::min(cwnd_, static_cast<double>(peer_rwnd_)));
   const std::uint32_t send_limit = snd_una_ + wnd;
@@ -187,38 +167,10 @@ void TcpConnection::try_send() {
     snd_nxt_ += len;
     arm_rto();
   }
-  maybe_send_fin();
-}
-
-void TcpConnection::maybe_send_fin() {
-  if (!fin_queued_ || fin_sent_) return;
-  if (infinite_source_) return;  // greedy sources never drain
-  if (snd_nxt_ != app_limit_seq()) return;  // data still queued
-  net::TcpFlags f;
-  f.fin = true;
-  f.ack = true;
-  fin_seq_ = snd_nxt_;
-  send_segment(snd_nxt_, 0, f, false);
-  snd_nxt_ += 1;
-  fin_sent_ = true;
-  arm_rto();
-  if (state_ == State::kEstablished) {
-    state_ = State::kFinWait1;
-  } else if (state_ == State::kCloseWait) {
-    state_ = State::kLastAck;
-  }
 }
 
 void TcpConnection::retransmit_front() {
   if (snd_una_ == snd_nxt_) return;
-  if (fin_sent_ && snd_una_ == fin_seq_) {
-    net::TcpFlags f;
-    f.fin = true;
-    f.ack = true;
-    trace_event(obs::EventKind::kTcpRetransmit, static_cast<double>(fin_seq_ - iss_), 0.0);
-    send_segment(fin_seq_, 0, f, true);
-    return;
-  }
   const std::uint32_t data_limit = app_limit_seq();
   const std::uint32_t len =
       std::min({params_.mss, snd_nxt_ - snd_una_,
@@ -271,8 +223,7 @@ void TcpConnection::on_rto() {
   trace_cwnd();
   dupacks_ = 0;
   in_recovery_ = false;
-  snd_nxt_ = fin_sent_ ? std::max(snd_una_, fin_seq_) : snd_una_;
-  if (fin_sent_ && seq_le(fin_seq_, snd_una_)) snd_nxt_ = snd_una_;
+  snd_nxt_ = snd_una_;
   rto_ = std::min(rto_ * 2, params_.max_rto);
   rtt_probe_.reset();
   retransmit_front();
@@ -327,19 +278,6 @@ void TcpConnection::handle_ack(const net::TcpHeader& h, std::uint32_t payload_le
       }
     }
     trace_cwnd();
-
-    if (fin_sent_ && seq_lt(fin_seq_, snd_una_)) {
-      // Our FIN is acknowledged.
-      if (state_ == State::kFinWait1) {
-        state_ = peer_fin_seen_ ? State::kTimeWait : State::kFinWait2;
-        if (state_ == State::kTimeWait) {
-          timewait_timer_ = sim_.after(kTimeWait, [this] { become_closed(); }, "tcp.timewait");
-        }
-      } else if (state_ == State::kLastAck) {
-        become_closed();
-        return;
-      }
-    }
 
     if (snd_una_ == snd_nxt_) {
       cancel_rto();
@@ -403,77 +341,45 @@ void TcpConnection::send_ack_now() {
   send_segment(snd_nxt_, 0, f, false);
 }
 
-void TcpConnection::handle_data(std::uint32_t seq, std::uint32_t len, bool fin,
-                                std::uint32_t fin_seq) {
-  if (fin) {
-    peer_fin_seen_ = true;
-    peer_fin_seq_ = fin_seq;
-  }
-  bool advanced = false;
-
-  if (len > 0) {
-    if (seq == rcv_nxt_) {
-      rcv_nxt_ += len;
-      deliver(len);
-      journey_delivered(rx_journey_);
-      advanced = true;
-    } else if (seq_lt(rcv_nxt_, seq)) {
-      // Out of order: stash (journey included) and dup-ACK.
-      auto [it, inserted] = ooo_.emplace(seq, OooSeg{len, rx_journey_});
-      if (!inserted) it->second.len = std::max(it->second.len, len);
-      send_ack_now();
-      return;
-    } else if (seq_lt(rcv_nxt_, seq + len)) {
-      // Partial overlap with already-received data.
-      const std::uint32_t fresh = seq + len - rcv_nxt_;
-      rcv_nxt_ += fresh;
-      deliver(fresh);
-      journey_delivered(rx_journey_);
-      advanced = true;
-    } else {
-      // Entirely old: re-ACK immediately (the peer retransmitted).
-      send_ack_now();
-      return;
-    }
-    // Absorb any now-contiguous out-of-order segments.
-    for (auto it = ooo_.begin(); it != ooo_.end();) {
-      if (seq_lt(rcv_nxt_, it->first)) break;
-      if (seq_lt(rcv_nxt_, it->first + it->second.len)) {
-        const std::uint32_t fresh = it->first + it->second.len - rcv_nxt_;
-        rcv_nxt_ += fresh;
-        deliver(fresh);
-        journey_delivered(it->second.journey);
-      }
-      it = ooo_.erase(it);
-    }
-  }
-
-  // Process a FIN that is now in order.
-  if (peer_fin_seen_ && peer_fin_seq_ == rcv_nxt_) {
-    rcv_nxt_ += 1;
-    if (state_ == State::kEstablished) {
-      state_ = State::kCloseWait;
-    } else if (state_ == State::kFinWait1) {
-      // simultaneous close handled via the ACK path
-      state_ = State::kTimeWait;
-      timewait_timer_ = sim_.after(kTimeWait, [this] { become_closed(); }, "tcp.timewait");
-    } else if (state_ == State::kFinWait2) {
-      state_ = State::kTimeWait;
-      timewait_timer_ = sim_.after(kTimeWait, [this] { become_closed(); }, "tcp.timewait");
-    }
+void TcpConnection::handle_data(std::uint32_t seq, std::uint32_t len) {
+  if (seq == rcv_nxt_) {
+    rcv_nxt_ += len;
+    deliver(len);
+    journey_delivered(rx_journey_);
+  } else if (seq_lt(rcv_nxt_, seq)) {
+    // Out of order: stash (journey included) and dup-ACK.
+    auto [it, inserted] = ooo_.emplace(seq, OooSeg{len, rx_journey_});
+    if (!inserted) it->second.len = std::max(it->second.len, len);
     send_ack_now();
-    if (fin_queued_) maybe_send_fin();
+    return;
+  } else if (seq_lt(rcv_nxt_, seq + len)) {
+    // Partial overlap with already-received data.
+    const std::uint32_t fresh = seq + len - rcv_nxt_;
+    rcv_nxt_ += fresh;
+    deliver(fresh);
+    journey_delivered(rx_journey_);
+  } else {
+    // Entirely old: re-ACK immediately (the peer retransmitted).
+    send_ack_now();
     return;
   }
-
-  if (advanced) {
-    // When data was reassembled past a hole, ACK immediately; otherwise
-    // use the delayed-ACK policy.
-    if (!ooo_.empty()) {
-      send_ack_now();
-    } else {
-      schedule_ack();
+  // Absorb any now-contiguous out-of-order segments.
+  for (auto it = ooo_.begin(); it != ooo_.end();) {
+    if (seq_lt(rcv_nxt_, it->first)) break;
+    if (seq_lt(rcv_nxt_, it->first + it->second.len)) {
+      const std::uint32_t fresh = it->first + it->second.len - rcv_nxt_;
+      rcv_nxt_ += fresh;
+      deliver(fresh);
+      journey_delivered(it->second.journey);
     }
+    it = ooo_.erase(it);
+  }
+  // When data past a hole is still out of order, ACK immediately; otherwise
+  // use the delayed-ACK policy.
+  if (!ooo_.empty()) {
+    send_ack_now();
+  } else {
+    schedule_ack();
   }
 }
 
@@ -494,10 +400,6 @@ void TcpConnection::accept_syn(const net::TcpHeader& syn) {
 
 void TcpConnection::on_segment(const net::TcpHeader& h, std::uint32_t payload_len) {
   ++counters_.segments_rx;
-  if (h.flags.rst) {
-    become_closed();
-    return;
-  }
 
   switch (state_) {
     case State::kClosed:
@@ -524,9 +426,7 @@ void TcpConnection::on_segment(const net::TcpHeader& h, std::uint32_t payload_le
         syn_retries_ = 0;
         enter_established();
         // Fall through to normal processing of any piggybacked data.
-        if (payload_len > 0 || h.flags.fin) {
-          handle_data(h.seq, payload_len, h.flags.fin, h.seq + payload_len);
-        }
+        if (payload_len > 0) handle_data(h.seq, payload_len);
       } else if (h.flags.syn && !h.flags.ack) {
         // Duplicate SYN: re-send the SYN-ACK.
         net::TcpFlags f;
@@ -539,13 +439,10 @@ void TcpConnection::on_segment(const net::TcpHeader& h, std::uint32_t payload_le
       break;
   }
 
-  // Established and closing states.
+  // Established.
   if (h.flags.syn) return;  // stray SYN
   if (h.flags.ack) handle_ack(h, payload_len);
-  if (state_ == State::kClosed) return;  // handle_ack may have closed us
-  if (payload_len > 0 || h.flags.fin) {
-    handle_data(h.seq, payload_len, h.flags.fin, h.seq + payload_len);
-  }
+  if (payload_len > 0) handle_data(h.seq, payload_len);
 }
 
 // -------------------------------------------------------------------- stack

@@ -4,8 +4,13 @@
 // Implements the transport the paper's ftp workload runs on: connection
 // establishment (SYN / SYN-ACK / ACK), cumulative and delayed ACKs,
 // slow start and congestion avoidance, fast retransmit / fast recovery
-// with NewReno-style partial-ACK retransmission, RTO estimation per
-// RFC 6298 with Karn's rule and exponential backoff, and FIN teardown.
+// with NewReno-style partial-ACK retransmission, and RTO estimation per
+// RFC 6298 with Karn's rule and exponential backoff.
+//
+// Connections never close: the paper's ftp sessions are long-lived, so
+// there is no FIN or RST. The only way back to kClosed is an active
+// open whose SYN retries run out (the closed handler then fires, and
+// app::FtpSource re-dials).
 //
 // Data is virtual: the stream carries byte *counts*, not bytes — the
 // congestion behaviour (which is what shapes the paper's TCP results) is
@@ -61,11 +66,6 @@ class TcpConnection {
     kSynSent,
     kSynRcvd,
     kEstablished,
-    kFinWait1,
-    kFinWait2,
-    kCloseWait,
-    kLastAck,
-    kTimeWait,
   };
 
   /// Receiver-side in-order delivery of `bytes`.
@@ -87,8 +87,6 @@ class TcpConnection {
   /// Greedy source: the sender always has data pending (ftp in
   /// asymptotic conditions, as in the paper).
   void set_infinite_source(bool on);
-  /// Close the send direction once queued data is out (sends FIN).
-  void close();
 
   void set_delivered_handler(DeliveredHandler h) { on_delivered_ = std::move(h); }
   void set_established_handler(EstablishedHandler h) { on_established_ = std::move(h); }
@@ -139,11 +137,11 @@ class TcpConnection {
   void handle_ack(const net::TcpHeader& h, std::uint32_t payload_len);
   void update_rtt(sim::Time sample);
   void enter_established();
-  void maybe_send_fin();
+  /// SYN retries ran out: stop the timers and fire the closed handler.
   void become_closed();
 
   // receiver machinery
-  void handle_data(std::uint32_t seq, std::uint32_t len, bool fin, std::uint32_t fin_seq);
+  void handle_data(std::uint32_t seq, std::uint32_t len);
   void deliver(std::uint32_t bytes);
 
   // journey linkage (no-ops unless the node has a journey recorder).
@@ -174,9 +172,6 @@ class TcpConnection {
   std::uint32_t snd_nxt_ = 0;
   std::uint64_t app_queued_ = 0;  // bytes written by the app
   bool infinite_source_ = false;
-  bool fin_queued_ = false;
-  bool fin_sent_ = false;
-  std::uint32_t fin_seq_ = 0;
 
   double cwnd_ = 0.0;
   std::uint32_t ssthresh_ = 0;
@@ -212,11 +207,8 @@ class TcpConnection {
     std::uint64_t journey = 0;
   };
   std::map<std::uint32_t, OooSeg> ooo_;
-  bool peer_fin_seen_ = false;
-  std::uint32_t peer_fin_seq_ = 0;
   std::uint32_t pending_ack_segments_ = 0;
   sim::EventId delack_timer_ = sim::kInvalidEvent;
-  sim::EventId timewait_timer_ = sim::kInvalidEvent;
   std::uint64_t delivered_total_ = 0;
 
   DeliveredHandler on_delivered_;

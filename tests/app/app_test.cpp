@@ -100,6 +100,20 @@ TEST_F(AppTest, FtpSourceStreamsToTcpSink) {
   EXPECT_GT(sink.throughput_kbps(), 500.0);
 }
 
+TEST_F(AppTest, FtpSourceRedialsAfterSynRetriesRunOut) {
+  // Nobody listens on the port: the SYN retries (RTO 1 s, doubling, 5
+  // retries) run out after 63 s, the connection closes, and the source
+  // dials again kReconnectDelay later.
+  FtpSource ftp{sim_, net_.tcp(0), net_.node(1).ip(), 6000};
+  ftp.start(sim::Time::zero());
+  sim_.run_until(sim::Time::sec(62));
+  EXPECT_EQ(ftp.connect_attempts(), 1u);
+  sim_.run_until(sim::Time::sec(64));
+  EXPECT_EQ(ftp.connect_attempts(), 2u);
+  ASSERT_TRUE(ftp.started());
+  EXPECT_EQ(ftp.connection()->state(), transport::TcpConnection::State::kSynSent);
+}
+
 TEST_F(AppTest, ProbeLossIsZeroWellWithinRange) {
   auto& sock = net_.udp(0).open(4000);
   ProbeSender sender{sim_, sock, 4001, 512, sim::Time::ms(20)};

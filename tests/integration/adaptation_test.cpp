@@ -1,6 +1,5 @@
-// Property suites for the adaptive/optional MAC features: ARF settling
-// behaviour across the Table 3 range staircase, and fragmentation
-// invariants across thresholds.
+// Property suite for the adaptive MAC feature: ARF settling behaviour
+// across the Table 3 range staircase.
 
 #include <gtest/gtest.h>
 
@@ -74,48 +73,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ArfCase>& param_info) {
       return "d" + std::to_string(static_cast<int>(param_info.param.distance_m));
     });
-
-// ---------------------------------------------------------------------------
-// Property: fragmentation is invisible end-to-end — for any threshold,
-// every MSDU arrives exactly once with its full byte count.
-// ---------------------------------------------------------------------------
-
-class FragmentationProperty : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(FragmentationProperty, DeliveryInvariant) {
-  const std::uint32_t threshold = GetParam();
-  sim::Simulator sim{202};
-  const auto params = phy::paper_calibrated_params(phy::default_outdoor_model());
-  phy::Medium medium{sim, phy::default_outdoor_model()};
-  phy::Radio r0{sim, medium, 0, params, {0, 0}};
-  phy::Radio r1{sim, medium, 1, params, {20, 0}};
-  MacParams mp;
-  mp.fragmentation_threshold_bytes = threshold;
-  Dcf d0{sim, r0, MacAddress::from_station(0), mp};
-  Dcf d1{sim, r1, MacAddress::from_station(1), mp};
-  std::vector<std::uint32_t> delivered;
-  d1.set_rx_handler([&](std::shared_ptr<const void>, std::uint32_t bytes, MacAddress,
-                        MacAddress) { delivered.push_back(bytes); });
-
-  const std::vector<std::uint32_t> sizes{64, 300, 512, 700, 1000, 1500, 2000};
-  for (const auto s : sizes) d0.enqueue(d1.address(), std::make_shared<int>(0), s);
-  sim.run_until(sim::Time::sec(2));
-
-  ASSERT_EQ(delivered.size(), sizes.size());
-  for (std::size_t i = 0; i < sizes.size(); ++i) EXPECT_EQ(delivered[i], sizes[i]);
-  EXPECT_EQ(d1.counters().reassembly_drops, 0u);
-  EXPECT_EQ(d0.counters().tx_retry_drops, 0u);
-  // Fragment accounting is self-consistent.
-  if (threshold < 2000) {
-    EXPECT_GT(d0.counters().fragments_tx, 0u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Thresholds, FragmentationProperty,
-                         ::testing::Values(128u, 256u, 512u, 1024u, 4096u),
-                         [](const ::testing::TestParamInfo<std::uint32_t>& param_info) {
-                           return "thr" + std::to_string(param_info.param);
-                         });
 
 }  // namespace
 }  // namespace adhoc::mac

@@ -57,16 +57,37 @@ TEST(RunObserver, ProfilerCollectsThroughSchedulerProbe) {
   const SchedulerProfiler& prof = *observer.profiler();
   EXPECT_EQ(prof.events(), 3u);
   EXPECT_GE(prof.wall_seconds(), 0.0);
-  ASSERT_EQ(prof.by_label().count("test.a"), 1u);
-  EXPECT_EQ(prof.by_label().at("test.a").count, 2u);
-  EXPECT_EQ(prof.by_label().at("test.b").count, 1u);
 
   observer.finalize(sim);
   const auto flat = observer.registry()->flatten();
   EXPECT_EQ(flat.at("scheduler.count_by_label.test.a"), 2.0);
+  EXPECT_EQ(flat.at("scheduler.count_by_label.test.b"), 1.0);
   EXPECT_EQ(flat.at("scheduler.total_executed"), 3.0);
   EXPECT_GE(flat.at("scheduler.queue_high_water"), 1.0);
   EXPECT_EQ(observer.finalized_at(), sim::Time::ms(1));
+}
+
+TEST(RunObserver, ProfilerFoldsEqualLabelTextFromDistinctPointers) {
+  // Two call sites may schedule the same label text from different
+  // string literals; the profiler keys by pointer but exports by text.
+  static const char kFirst[] = "test.same";
+  static const char kSecond[] = "test.same";
+  ASSERT_NE(static_cast<const void*>(kFirst), static_cast<const void*>(kSecond));
+  RunObserver observer{ObsLevel::kFull};
+  sim::Simulator sim{1};
+  sim.scheduler().set_probe(observer.profiler());
+  sim.after(sim::Time::us(10), [] {}, kFirst);
+  sim.after(sim::Time::us(20), [] {}, kSecond);
+  sim.after(sim::Time::us(30), [] {}, kFirst);
+  sim.after(sim::Time::us(40), [] {});
+  sim.run_until(sim::Time::ms(1));
+  observer.finalize(sim);
+
+  const auto flat = observer.registry()->flatten();
+  EXPECT_EQ(flat.at("scheduler.count_by_label.test.same"), 3.0);
+  EXPECT_EQ(flat.at("scheduler.count_by_label.(unlabeled)"), 1.0);
+  EXPECT_EQ(flat.count("scheduler.wall_ms_by_label.test.same"), 1u);
+  EXPECT_EQ(flat.at("scheduler.events"), 4.0);
 }
 
 TEST(RunObserver, OutcomeSnapshotKeepsCountsAndDropsHostTime) {

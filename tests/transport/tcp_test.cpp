@@ -85,28 +85,6 @@ TEST_F(TcpTest, RttEstimateIsPlausible) {
   EXPECT_GE(client.current_rto(), sim::Time::ms(200));  // clamped at min_rto
 }
 
-TEST_F(TcpTest, FinTeardownBothSides) {
-  net_.tcp(1).listen(80, [this](TcpConnection& c) {
-    server_ = &c;
-    c.set_delivered_handler([this](std::uint32_t b) { delivered_ += b; });
-  });
-  TcpConnection& client = net_.tcp(0).connect(net_.node(1).ip(), 80);
-  client.send(3000);
-  bool client_closed = false;
-  client.set_closed_handler([&] { client_closed = true; });
-  sim_.run_until(sim::Time::sec(1));
-  client.close();
-  sim_.run_until(sim::Time::sec(1) + sim::Time::ms(500));
-  ASSERT_NE(server_, nullptr);
-  // Server saw the FIN: CLOSE_WAIT (it has not closed its side).
-  EXPECT_EQ(server_->state(), TcpConnection::State::kCloseWait);
-  server_->close();
-  sim_.run_until(sim::Time::sec(3));
-  EXPECT_EQ(server_->state(), TcpConnection::State::kClosed);
-  EXPECT_TRUE(client_closed);
-  EXPECT_EQ(delivered_, 3000u);
-}
-
 TEST_F(TcpTest, InfiniteSourceKeepsSending) {
   net_.tcp(1).listen(80, [this](TcpConnection& c) {
     server_ = &c;
